@@ -1,13 +1,13 @@
 //! Scenario-matrix bench: cross-platform matrix throughput with a cold
 //! versus warmed measurement cache, quantifying how much of a matrix's
 //! cost the cross-scenario cell dedup removes (budget rows of one
-//! machine × workload share every campaign cell), plus sequential
-//! versus concurrent scenario execution.
+//! machine × workload share every campaign cell), plus the default
+//! auto-sized campaign-block pool (`matrix_cold_cache`, one block per
+//! machine × workload) against a one-worker pool.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmpt_core::exec::available_workers;
 use hmpt_fleet::{
     run_matrix, run_matrix_with_cache, MatrixConfig, MeasurementCache, ScenarioMatrix,
 };
@@ -78,10 +78,11 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Concurrent scenarios over a cold cache (job-level parallelism).
-    let parallel_jobs = MatrixConfig { job_workers: 0, ..cfg };
-    g.bench_function(format!("matrix_cold_cache_jobs_x{}", available_workers()).as_str(), |b| {
-        b.iter(|| black_box(run_matrix(black_box(&matrix), &parallel_jobs).expect("matrix")))
+    // The same cold matrix on a one-worker pool: what the default
+    // auto-sized campaign-block pool is measured against.
+    let serial = MatrixConfig { workers: 1, ..cfg };
+    g.bench_function("matrix_cold_cache_serial", |b| {
+        b.iter(|| black_box(run_matrix(black_box(&matrix), &serial).expect("matrix")))
     });
     g.finish();
 

@@ -6,13 +6,16 @@
 //! ```text
 //! key = ( machine.fingerprint(),   # full platform model
 //!         spec.fingerprint(),      # workload allocations + phases
-//!         plan.fingerprint(),      # realized placement plan
+//!         groups_fp ⊕ config,      # allocation groups + configuration
 //!         noise_fp ⊕ cell seed )   # noise model + derived cell seed
 //! ```
 //!
 //! Each component is a stable 64-bit content hash
 //! ([`hmpt_sim::fingerprint`]); the composite 256-bit key makes
-//! accidental collisions implausible. Because the key includes the
+//! accidental collisions implausible. The third component stands for
+//! the realized placement plan without building it: a plan is a pure
+//! function of (spec, groups, configuration), and the spec is already
+//! the second component. Because the key includes the
 //! derived per-cell seed, a hit returns the *bit-identical* outcome the
 //! simulation would have produced — a warmed cache can never change an
 //! analysis result, only skip simulated runs.
@@ -20,9 +23,9 @@
 //! The cache lives in `hmpt_core` (historically it was private to the
 //! `hmpt-fleet` service layer) so any campaign front end — [`Driver`],
 //! the online tuner, sensitivity sweeps, the fleet — can interpose it
-//! through [`CachingExecutor`]. All four key components are memoized
-//! once per campaign by [`CampaignPlan`]; building a cell key costs two
-//! 64-bit hash mixes, not a serialization of the whole object tree.
+//! through [`CachingExecutor`]. Every fingerprint in the key is
+//! memoized once per campaign by [`CampaignPlan`]; building a cell key
+//! costs two 64-bit hash mixes, not a serialization of any object.
 //!
 //! Infeasible cells (pool exhaustion under capacity pressure) are cached
 //! too: re-asking whether a placement fits is as redundant as re-timing
@@ -42,8 +45,8 @@ use serde::{Deserialize, Serialize};
 use crate::error::TunerError;
 use crate::measure::CellOutcome;
 
-/// Composite content key of one measurement cell: (machine, spec, plan,
-/// cell) fingerprints.
+/// Composite content key of one measurement cell: (machine, spec,
+/// groups ⊕ configuration, noise ⊕ seed) fingerprints.
 pub type CellKey = (Fingerprint, Fingerprint, Fingerprint, Fingerprint);
 
 /// Cache counters (monotonic over the cache's lifetime).

@@ -18,11 +18,14 @@
 //!   round) and retires a configuration early once the confidence
 //!   interval of its mean runtime is tight enough.
 //!
-//! All four components of a cell's content key are memoized once per
-//! plan ([`Fingerprint`] handles for machine, spec, per-configuration
-//! placement plan, and noise model), so building a key costs two 64-bit
-//! hash mixes instead of re-serializing the full object tree per cell —
-//! that is what makes consulting the
+//! Every component of a cell's content key is memoized once per plan
+//! ([`Fingerprint`] handles for machine, spec, allocation groups, and
+//! noise model), so building a key costs two 64-bit hash mixes — the
+//! groups handle combined with the configuration word, the noise handle
+//! with the cell seed — instead of building and serializing anything
+//! per cell. The placement plan needs no fingerprint of its own: it is
+//! a pure function of (spec, groups, configuration), and all three are
+//! in the key. That is what makes consulting the
 //! [`MeasurementCache`](crate::cache::MeasurementCache) through a
 //! [`CachingExecutor`](crate::exec::CachingExecutor) effectively free.
 //!
@@ -193,8 +196,8 @@ pub struct CellSpec {
     pub rep: usize,
     /// The derived RNG seed ([`CampaignConfig::cell_seed`]).
     pub seed: u64,
-    /// Content key for the measurement cache: (machine, spec, plan,
-    /// noise ⊕ seed) fingerprints.
+    /// Content key for the measurement cache: (machine, spec,
+    /// groups ⊕ configuration, noise ⊕ seed) fingerprints.
     pub key: CellKey,
 }
 
@@ -252,11 +255,12 @@ pub struct CampaignPlan<'a> {
     configs: ConfigSet,
     machine_fp: Fingerprint,
     spec_fp: Fingerprint,
+    groups_fp: Fingerprint,
     noise_fp: Fingerprint,
-    /// Per-configuration placement plan + its fingerprint, built on
-    /// first touch and shared by all the configuration's repetitions
-    /// (and by online probes of the same plan).
-    plans: Mutex<HashMap<u64, Arc<(PlacementPlan, Fingerprint)>>>,
+    /// Per-configuration placement plan for the naive per-cell path,
+    /// built on first touch and shared by all the configuration's
+    /// repetitions (and by online probes of the same plan).
+    plans: Mutex<HashMap<u64, Arc<PlacementPlan>>>,
     /// Whether [`measure_cell`](Self::measure_cell) may answer through
     /// the batched cold-path kernel. Purely a scheduling choice — the
     /// kernel is bit-identical by contract and the cache keys never see
@@ -318,6 +322,7 @@ impl<'a> CampaignPlan<'a> {
             configs,
             machine_fp: machine.fingerprint(),
             spec_fp: spec.fingerprint(),
+            groups_fp: Fingerprint::of(groups),
             noise_fp: Fingerprint::of(&cfg.noise),
             plans: Mutex::new(HashMap::new()),
             fast_path: true,
@@ -380,62 +385,41 @@ impl<'a> CampaignPlan<'a> {
         self.configs.len() * self.policy.planned_reps(self.cfg.runs_per_config)
     }
 
-    /// The placement plan (and its fingerprint) realizing `config`,
-    /// memoized for the lifetime of the campaign.
-    pub fn plan_for(&self, config: Config) -> Arc<(PlacementPlan, Fingerprint)> {
+    /// The placement plan realizing `config`, memoized for the lifetime
+    /// of the campaign.
+    fn plan_for(&self, config: Config) -> Arc<PlacementPlan> {
         let mut plans = self.plans.lock().expect("plan memo poisoned");
-        Arc::clone(plans.entry(config.0).or_insert_with(|| {
-            let plan = config.plan(self.spec, self.groups);
-            let fp = plan.fingerprint();
-            Arc::new((plan, fp))
-        }))
+        Arc::clone(
+            plans.entry(config.0).or_insert_with(|| Arc::new(config.plan(self.spec, self.groups))),
+        )
     }
 
     /// The cell of one (configuration, repetition) pair, with its
-    /// derived seed and memoized content key.
+    /// derived seed and content key. The key's plan component is the
+    /// groups fingerprint combined with the configuration word: a
+    /// placement plan is a pure function of (spec, groups,
+    /// configuration), and the spec is already a key component.
     pub fn cell(&self, config: Config, rep: usize) -> CellSpec {
         let seed = self.cfg.cell_seed(config, rep);
-        let plan_fp = self.plan_for(config).1;
         CellSpec {
             config,
             rep,
             seed,
-            key: (self.machine_fp, self.spec_fp, plan_fp, self.noise_fp.combine(seed)),
-        }
-    }
-
-    /// [`Self::cell`], deriving the content key only when the executor
-    /// will read one. Key derivation builds and fingerprints the
-    /// configuration's placement plan — most of a cold campaign's
-    /// non-simulation cost — so executors that never consult a cache
-    /// ([`CellExecutor::consumes_keys`] is false) get a zeroed key
-    /// instead. Keys only feed cache lookups, never the simulation, so
-    /// this is scheduling-only: outcomes are unaffected, and caching
-    /// executors still see the exact on-disk key encoding.
-    fn cell_for(&self, keyed: bool, config: Config, rep: usize) -> CellSpec {
-        if keyed {
-            return self.cell(config, rep);
-        }
-        let zero = Fingerprint::from_raw(0);
-        CellSpec {
-            config,
-            rep,
-            seed: self.cfg.cell_seed(config, rep),
-            key: (zero, zero, zero, zero),
+            key: (
+                self.machine_fp,
+                self.spec_fp,
+                self.groups_fp.combine(config.0),
+                self.noise_fp.combine(seed),
+            ),
         }
     }
 
     /// Lazily enumerate every planned cell, configuration-major /
     /// repetition-minor — the campaign's canonical order.
     pub fn cells(&self) -> impl Iterator<Item = CellSpec> + '_ {
-        self.cells_for(true)
-    }
-
-    fn cells_for(&self, keyed: bool) -> impl Iterator<Item = CellSpec> + '_ {
         let reps = self.policy.planned_reps(self.cfg.runs_per_config);
-        (0..self.configs.len()).flat_map(move |ci| {
-            (0..reps).map(move |rep| self.cell_for(keyed, self.configs.get(ci), rep))
-        })
+        (0..self.configs.len())
+            .flat_map(move |ci| (0..reps).map(move |rep| self.cell(self.configs.get(ci), rep)))
     }
 
     /// Simulate one cell (ignoring any cache; executors interpose
@@ -454,7 +438,7 @@ impl<'a> CampaignPlan<'a> {
     /// reference implementation the kernel is verified against.
     pub fn measure_cell_naive(&self, cell: &CellSpec) -> Result<CellOutcome, TunerError> {
         let plan = self.plan_for(cell.config);
-        measure_cell_with_plan(self.machine, self.spec, &plan.0, cell.config, cell.rep, &self.cfg)
+        measure_cell_with_plan(self.machine, self.spec, &plan, cell.config, cell.rep, &self.cfg)
     }
 
     /// Evaluate a batch of cells through an executor.
@@ -476,7 +460,7 @@ impl<'a> CampaignPlan<'a> {
         sink: &mut dyn CellSink,
     ) -> Result<(), TunerError> {
         let chunk = chunk.max(1);
-        let mut iter = self.cells_for(exec.consumes_keys());
+        let mut iter = self.cells();
         // An oversized chunk degrades to eager execution; don't let it
         // oversize the buffer too.
         let mut buf: Vec<CellSpec> = Vec::with_capacity(chunk.min(self.planned_cells()));
@@ -504,8 +488,7 @@ impl<'a> CampaignPlan<'a> {
         config: Config,
     ) -> Result<ConfigMeasurement, TunerError> {
         let reps = self.cfg.runs_per_config.max(1);
-        let keyed = exec.consumes_keys();
-        let cells: Vec<CellSpec> = (0..reps).map(|rep| self.cell_for(keyed, config, rep)).collect();
+        let cells: Vec<CellSpec> = (0..reps).map(|rep| self.cell(config, rep)).collect();
         let outcomes = self.run_cells(exec, &cells);
         assemble_config(config, &outcomes)
     }
@@ -578,12 +561,11 @@ impl<'a> CampaignPlan<'a> {
         let mut outcomes: Vec<Vec<CellOutcome>> = vec![Vec::new(); n_cfg];
         let mut executed = 0usize;
         let chunk = chunk.max(1);
-        let keyed = exec.consumes_keys();
 
         for rep in 0..max_reps {
             let round: Vec<(usize, CellSpec)> = (0..n_cfg)
                 .filter(|&ci| state[ci] == State::Active)
-                .map(|ci| (ci, self.cell_for(keyed, self.configs.get(ci), rep)))
+                .map(|ci| (ci, self.cell(self.configs.get(ci), rep)))
                 .collect();
             if round.is_empty() {
                 break;
@@ -759,6 +741,24 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 16);
+
+        // Two plans built from equal inputs agree on every key.
+        let (spec2, groups2) = mg_groups();
+        let twin = CampaignPlan::new(&m, &spec2, &groups2, cfg).unwrap();
+        assert_eq!(cells, twin.cells().collect::<Vec<_>>());
+
+        // Keys differ when only the groups differ: the same allocations
+        // grouped differently realize different placements per config.
+        let mut regrouped = groups.clone();
+        regrouped[0].members = vec![0, 1];
+        regrouped[1].members = vec![2];
+        regrouped.truncate(2);
+        let other = CampaignPlan::new(&m, &spec, &regrouped, cfg).unwrap();
+        for (a, b) in cells.iter().zip(other.cells()) {
+            assert_eq!((a.config, a.rep, a.seed), (b.config, b.rep, b.seed));
+            assert_eq!((a.key.0, a.key.1, a.key.3), (b.key.0, b.key.1, b.key.3));
+            assert_ne!(a.key.2, b.key.2, "groups must reach the key ({:?})", a.config);
+        }
     }
 
     #[test]

@@ -70,10 +70,11 @@ pub fn available_workers() -> usize {
 
 /// Work-stealing thread-pool execution.
 ///
-/// Workers pull the next unclaimed cell index from a shared atomic
-/// counter (dynamic scheduling: a slow cell never blocks the queue
-/// behind it), collect `(index, result)` pairs locally, and the results
-/// are scattered back into canonical index order at the join.
+/// Workers — the calling thread plus `workers - 1` scoped threads —
+/// pull the next unclaimed cell index from a shared atomic counter
+/// (dynamic scheduling: a slow cell never blocks the queue behind it),
+/// collect `(index, result)` pairs locally, and the results are
+/// scattered back into canonical index order at the join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelExecutor {
     workers: usize,
@@ -125,29 +126,28 @@ impl RunExecutor for ParallelExecutor {
         let next = AtomicUsize::new(0);
         let f = &f;
         let next = &next;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            c_steals.incr();
-                            local.push((i, f(i)));
-                        }
-                        c_idle.incr();
-                        local
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            for h in handles {
-                for (i, v) in h.join().expect("campaign worker panicked") {
-                    slots[i] = Some(v);
+        let claim = move || {
+            let mut local: Vec<(usize, T)> = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                c_steals.incr();
+                local.push((i, f(i)));
+            }
+            c_idle.incr();
+            local
+        };
+        std::thread::scope(|scope| {
+            // The calling thread is one of the workers: it claims cells
+            // alongside the spawned ones instead of idling at the join.
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+            let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+            let own = claim();
+            let joined = handles.into_iter().map(|h| h.join().expect("campaign worker panicked"));
+            for (i, v) in std::iter::once(own).chain(joined).flatten() {
+                slots[i] = Some(v);
             }
             slots.into_iter().map(|s| s.expect("every cell claimed exactly once")).collect()
         })
@@ -209,16 +209,6 @@ pub trait CellExecutor: Sync {
 
     /// Human-readable label for reports.
     fn describe(&self) -> String;
-
-    /// Whether this executor reads [`CellSpec::key`]. Deriving a key is
-    /// the expensive part of building a cell — it constructs and
-    /// fingerprints the configuration's placement plan — so campaign
-    /// code skips derivation for executors that never consult a cache.
-    /// The default is the conservative answer: custom executors get
-    /// real keys unless they opt out.
-    fn consumes_keys(&self) -> bool {
-        true
-    }
 }
 
 /// Every index-level executor evaluates cells by index.
@@ -236,12 +226,6 @@ impl<E: RunExecutor> CellExecutor for E {
 
     fn describe(&self) -> String {
         self.label()
-    }
-
-    // Index-level executors dispatch by position and never look at a
-    // cell's content key, so the campaign can skip deriving one.
-    fn consumes_keys(&self) -> bool {
-        false
     }
 }
 
@@ -288,12 +272,6 @@ impl<E: RunExecutor> CellExecutor for CachingExecutor<E> {
 
     fn describe(&self) -> String {
         format!("{}+cache", self.inner.label())
-    }
-
-    // The whole point of this wrapper is the key lookup: cells must
-    // arrive with their real content keys.
-    fn consumes_keys(&self) -> bool {
-        true
     }
 }
 

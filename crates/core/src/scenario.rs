@@ -11,13 +11,13 @@
 //! O(1) per cell.
 //!
 //! Nothing in this module runs anything. Execution lives with the
-//! fleet (`hmpt_fleet::matrix::run_matrix`), which streams scenarios
-//! through the existing `Fleet`/[`CellExecutor`](crate::exec::CellExecutor)
-//! stack so the shared content-addressed
-//! [`MeasurementCache`](crate::cache::MeasurementCache) dedups campaign
-//! cells across scenarios that share a machine fingerprint — two
-//! budgets of the same (machine, workload) campaign cost one set of
-//! simulated runs.
+//! fleet (`hmpt_fleet::matrix::run_matrix`), which runs the matrix's
+//! *campaign blocks* ([`ScenarioMatrix::blocks`]) — one per (machine,
+//! workload) pair — concurrently, each block's scenarios in order over
+//! the shared content-addressed
+//! [`MeasurementCache`](crate::cache::MeasurementCache), so two budgets
+//! of the same (machine, workload) campaign cost one set of simulated
+//! runs.
 //!
 //! The result side is also defined here: [`ScenarioRow`] is one
 //! Table-II-style line per scenario, and [`MatrixReport::assemble`]
@@ -332,6 +332,28 @@ impl ScenarioMatrix {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Scenarios per *campaign block*: the contiguous run of indices
+    /// sharing one (machine, workload) pair. Noise, policy and budget
+    /// are the inner axes, so a block holds every scenario whose cells
+    /// can share a cache key, and no two blocks share one (up to
+    /// duplicate zoo entries or workloads).
+    pub fn block_len(&self) -> usize {
+        self.noise_len() * self.rep_policies.len() * self.budgets.len()
+    }
+
+    /// The campaign blocks `range` touches, each clipped to `range`, in
+    /// index order. O(1) per block; nothing is decoded.
+    pub fn blocks(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl ExactSizeIterator<Item = std::ops::Range<usize>> {
+        let len = self.block_len().max(1);
+        let first = range.start / len;
+        let count = if range.is_empty() { 0 } else { (range.end - 1) / len + 1 - first };
+        (first..first + count)
+            .map(move |b| (b * len).max(range.start)..((b + 1) * len).min(range.end))
     }
 
     /// Decode index `i` into its scenario — mixed-radix over
@@ -1055,6 +1077,27 @@ mod tests {
         assert_eq!(m.len(), 2 * 2 * 3 * 2 * 2);
         assert!(!m.is_empty());
         assert_eq!(m.scenarios().count(), m.len());
+    }
+
+    #[test]
+    fn blocks_partition_a_range_by_machine_and_workload() {
+        let m = small_matrix();
+        assert_eq!(m.block_len(), 3 * 2 * 2);
+        for (start, end) in [(0, m.len()), (5, 31), (12, 24), (7, 8), (9, 9)] {
+            let blocks: Vec<_> = m.blocks(start..end).collect();
+            let covered: Vec<usize> = blocks.iter().flat_map(|b| b.clone()).collect();
+            assert_eq!(covered, (start..end).collect::<Vec<_>>(), "{start}..{end}");
+            let mut pairs = std::collections::HashSet::new();
+            for block in &blocks {
+                assert!(!block.is_empty());
+                let c = m.scenario(block.start).coords;
+                assert!(pairs.insert((c.machine, c.workload)), "pair split across blocks");
+                for i in block.clone() {
+                    let d = m.scenario(i).coords;
+                    assert_eq!((d.machine, d.workload), (c.machine, c.workload));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Persistent snapshots of the content-addressed measurement cache.
 //!
 //! The [`MeasurementCache`] is keyed purely by *content* — stable
-//! 64-bit fingerprints of (machine, spec, plan, noise ⊕ seed) — so its
+//! 64-bit fingerprints of (machine, spec, groups ⊕ configuration,
+//! noise ⊕ seed) — so its
 //! entries survive a process boundary by construction: nothing in a
 //! cached cell refers to live objects. This module gives the cache a
 //! durable form, which is what lets fleet batches, scenario matrices,
@@ -86,7 +87,11 @@ pub const FORMAT_VERSION: u32 = 1;
 /// v2: the N-pool generalization widened `Config` to a 64-bit word and
 /// made machine fingerprints cover the pool vector, so keys written by
 /// v1 binaries must not be compared against live keys.
-pub const SEMANTICS_VERSION: u32 = 2;
+///
+/// v3: a key's third component became the allocation-groups
+/// fingerprint combined with the configuration word, replacing the
+/// fingerprint of the realized placement plan.
+pub const SEMANTICS_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 32;
 const RECORD_LEN: usize = 64;

@@ -364,12 +364,7 @@ fn execute_matrix(resolved: ResolvedMatrix, fingerprint: String) -> Result<Respo
             return Err(ApiError::CapacityExceeded);
         }
         if verify {
-            let vcfg = MatrixConfig {
-                executor: ExecutorKind::Serial,
-                job_workers: 1,
-                cache_enabled: false,
-                ..config
-            };
+            let vcfg = MatrixConfig { workers: 1, cache_enabled: false, ..config };
             let other =
                 run_matrix_sharded(&matrix, &vcfg, shard_spec, Arc::new(MeasurementCache::new()))?;
             if !report.bit_identical(&other) {
@@ -392,21 +387,11 @@ fn execute_matrix(resolved: ResolvedMatrix, fingerprint: String) -> Result<Respo
         let mut strategies = vec![
             (
                 "the serial-uncached re-run",
-                MatrixConfig {
-                    executor: ExecutorKind::Serial,
-                    job_workers: 1,
-                    cache_enabled: false,
-                    ..config
-                },
+                MatrixConfig { workers: 1, cache_enabled: false, ..config },
             ),
             (
                 "the parallel-uncached re-run",
-                MatrixConfig {
-                    executor: ExecutorKind::parallel(),
-                    job_workers: 0,
-                    cache_enabled: false,
-                    ..config
-                },
+                MatrixConfig { workers: 0, cache_enabled: false, ..config },
             ),
         ];
         if !config.cache_enabled {

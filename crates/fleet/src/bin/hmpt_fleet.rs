@@ -100,7 +100,8 @@ fn usage() -> ! {
          \x20 --no-compare    skip the serial-vs-parallel comparison pass\n\
          \x20 --no-online     skip the online-tuner verification pass\n\
          \x20 --json PATH     write the JSON report to PATH (default: stdout)\n\
-         \x20 --job-workers N concurrent jobs/scenarios (default 1; 0 = auto)\n\
+         \x20 --job-workers N batch: concurrent jobs (default 1); scenarios: the\n\
+         \x20                 campaign-block pool size (default: --workers; 0 = auto)\n\
          \x20 --cache-file P  persistent measurement cache: load the snapshot on\n\
          \x20                 start (if present), save it back on finish\n\
          \x20 --cache-max N   LRU-sweep the cache to N records at save time\n\
@@ -152,7 +153,7 @@ fn usage() -> ! {
          \x20 --allow-flip KEY          allowlist a placement flip (repeatable)\n\
          \x20 --json                    machine-readable output (diff/gate/trend)\n\
          serve options (the campaign-service daemon):\n\
-         \x20 --workers N     shard workers per job (default: one per CPU)\n\
+         \x20 --workers N     campaign-block pool size per job (default: one per CPU)\n\
          \x20 --quota N       max live jobs per tenant (default 4)\n\
          \x20 --cache-max N   LRU bound on the shared cross-job cache\n\
          \x20 --trace-out P   write the daemon's span/counter trace (JSONL) to P\n\
@@ -583,18 +584,17 @@ fn describe(spec: &CampaignSpec) {
                 "fleet.spec",
                 format!(
                     "hmpt-fleet: {} machines × {} workloads × {} budgets × {} policies × \
-                     {} noise levels = {} scenarios ({}, {} job workers, cache {}{})",
+                     {} noise levels = {} scenarios ({} campaign blocks on {} worker(s), cache {}{})",
                     m.matrix.machines().len(),
                     m.matrix.workloads().len(),
                     m.matrix.budgets().len(),
                     m.matrix.rep_policies().len(),
                     m.matrix.noise_cvs().len(),
                     m.matrix.len(),
-                    m.config.executor.label(),
-                    if m.config.job_workers == 0 {
-                        available_workers()
-                    } else {
-                        m.config.job_workers
+                    m.matrix.blocks(0..m.matrix.len()).len(),
+                    match m.config.workers {
+                        0 => available_workers(),
+                        n => n,
                     },
                     if m.config.cache_enabled { "on" } else { "off" },
                     match &m.shard {

@@ -76,7 +76,8 @@ pub enum Action {
     Serve {
         listen: String,
         state_dir: String,
-        /// `--workers N`: shard fan-out per job (0 = one per CPU).
+        /// `--workers N`: campaign-block pool size per job (0 = one per
+        /// CPU).
         workers: Option<usize>,
         /// `--quota N`: max live jobs per tenant.
         quota: Option<usize>,

@@ -1,21 +1,22 @@
 //! Scenario-matrix execution: the bridge between the lazy
 //! [`ScenarioMatrix`] IR and the fleet's executor/cache stack.
 //!
-//! [`run_matrix`] streams scenarios in bounded chunks (the matrix is
-//! never materialized), turns each into a [`TuningJob`] — the
-//! scenario's zoo entry built into a validated machine, its noise level
-//! and repetition policy applied — and runs the chunk through a
-//! [`Fleet`] over one shared [`MeasurementCache`]. Because a cell's
-//! cache key starts with the machine fingerprint, every scenario pair
-//! that shares a platform (e.g. two HBM budgets of the same machine ×
-//! workload, which need the *same* campaign) costs one set of simulated
-//! runs; the budget axis is the matrix's innermost, so those pairs are
-//! adjacent in the stream.
+//! [`run_matrix`] splits the matrix into *campaign blocks*
+//! ([`ScenarioMatrix::blocks`]): the contiguous runs of scenarios that
+//! share a (machine, workload) pair. Budget, policy and noise are the
+//! matrix's inner axes, so every scenario whose cells can share a cache
+//! key sits in one block, and no two blocks share a key. The blocks run
+//! on **one** work-stealing pool per range — the matrix's only level of
+//! parallelism. Inside a block, scenarios run in order and their
+//! campaign cells run serially over the shared [`MeasurementCache`]:
+//! the second budget of a (machine, workload) pair re-asks the same
+//! campaign and is answered without new simulated runs. Because blocks
+//! are key-disjoint, cache hits and misses are a pure function of the
+//! matrix and the cache contents, whatever the pool size.
 //!
-//! Execution strategy — serial or parallel cells, sequential or
-//! concurrent jobs, cache on or off — never changes a row's bits
-//! (property-tested in `tests/scenario_properties.rs` and re-checked at
-//! runtime by the CLI's verification passes).
+//! Pool size and caching never change a row's bits (property-tested in
+//! `tests/scenario_properties.rs` and re-checked at runtime by the
+//! API's verification passes).
 //!
 //! The same machinery executes a *shard*: [`run_matrix_sharded`] runs
 //! one index range of the matrix (see [`ScenarioMatrix::shard`]) and
@@ -30,12 +31,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hmpt_core::error::TunerError;
-use hmpt_core::exec::ExecutorKind;
+use hmpt_core::exec::{ExecutorKind, ParallelExecutor, RunExecutor};
 use hmpt_core::grouping::GroupingConfig;
 use hmpt_core::scenario::{
-    MatrixReport, MatrixStats, Scenario, ScenarioMatrix, ScenarioRow, ShardReport, ShardSpec,
+    MatrixReport, MatrixStats, ScenarioMatrix, ScenarioRow, ShardReport, ShardSpec,
 };
 use hmpt_sim::fingerprint::Fingerprint;
+use hmpt_sim::machine::Machine;
 
 use crate::cache::MeasurementCache;
 use crate::service::{Fleet, FleetConfig, TuningJob};
@@ -43,34 +45,28 @@ use crate::service::{Fleet, FleetConfig, TuningJob};
 /// How a scenario matrix is executed.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixConfig {
-    /// Cell-level executor of each scenario's campaign.
-    pub executor: ExecutorKind,
-    /// Concurrent scenarios (`1` = sequential, `0` = auto-size).
-    pub job_workers: usize,
+    /// Campaign blocks run concurrently (`1` = serial, `0` = auto-size
+    /// to the host). Affects wall time only, never results or cache
+    /// accounting.
+    pub workers: usize,
     /// Consult the shared content-addressed cache per cell.
     pub cache_enabled: bool,
     pub grouping: GroupingConfig,
     /// Seed of each scenario's profiling run.
     pub profile_seed: u64,
-    /// Scenarios pulled from the lazy enumeration per fleet batch
-    /// (`0` = auto: a few chunks per worker). Affects scheduling and
-    /// peak memory only, never results.
-    pub chunk: usize,
     /// Evaluate campaign cells through the batched cold-path kernel
-    /// (default true; bit-identical by contract, so — like the executor
-    /// choice — deliberately excluded from [`Self::bits_fingerprint`]).
+    /// (default true; bit-identical by contract, so — like the pool
+    /// size — deliberately excluded from [`Self::bits_fingerprint`]).
     pub fast_path: bool,
 }
 
 impl Default for MatrixConfig {
     fn default() -> Self {
         MatrixConfig {
-            executor: ExecutorKind::parallel(),
-            job_workers: 1,
+            workers: 0,
             cache_enabled: true,
             grouping: GroupingConfig::default(),
             profile_seed: 7,
-            chunk: 0,
             fast_path: true,
         }
     }
@@ -78,10 +74,10 @@ impl Default for MatrixConfig {
 
 impl MatrixConfig {
     /// Content fingerprint of the execution settings that determine row
-    /// *bits*: the profiling seed and the grouping parameters. Executor
-    /// choice, job workers, chunking, and caching are deliberately
-    /// excluded — bit-identity across those is the subsystem's core
-    /// invariant, so they may legitimately differ between shards.
+    /// *bits*: the profiling seed and the grouping parameters. Pool size
+    /// and caching are deliberately excluded — bit-identity across those
+    /// is the subsystem's core invariant, so they may legitimately
+    /// differ between shards.
     ///
     /// [`ShardReport::matrix_fingerprint`] is
     /// `matrix.fingerprint().combine(cfg.bits_fingerprint().raw())`,
@@ -92,29 +88,19 @@ impl MatrixConfig {
         Fingerprint::of(&self.grouping).combine(self.profile_seed)
     }
 
+    /// The per-scenario pipeline: cells run serially inside a block
+    /// (the pool is at block level), no online check.
     fn fleet_config(&self) -> FleetConfig {
         FleetConfig {
-            executor: self.executor,
+            executor: ExecutorKind::Serial,
             grouping: self.grouping,
             profile_seed: self.profile_seed,
             online_check: false,
             cache_enabled: self.cache_enabled,
-            job_workers: self.job_workers,
+            job_workers: 1,
             fast_path: self.fast_path,
             ..FleetConfig::default()
         }
-    }
-
-    fn chunk_size(&self) -> usize {
-        if self.chunk > 0 {
-            return self.chunk;
-        }
-        let workers = if self.job_workers == 0 {
-            hmpt_core::exec::available_workers()
-        } else {
-            self.job_workers
-        };
-        (workers * 4).max(8)
     }
 }
 
@@ -125,8 +111,7 @@ pub fn run_matrix(matrix: &ScenarioMatrix, cfg: &MatrixConfig) -> Result<MatrixR
 
 /// Execute a scenario matrix over an existing cache (warm-start: a
 /// matrix sharing machines with an earlier run answers those campaigns
-/// without new simulated runs), streaming one chunk of scenarios at a
-/// time through a [`Fleet`].
+/// without new simulated runs).
 pub fn run_matrix_with_cache(
     matrix: &ScenarioMatrix,
     cfg: &MatrixConfig,
@@ -163,8 +148,11 @@ pub fn run_matrix_sharded(
     })
 }
 
-/// The shared range runner: stream `range`'s scenarios in bounded
-/// chunks through a [`Fleet`] over `cache`.
+/// One finished block: its rows plus planned and executed cell counts.
+type BlockOutcome = (Vec<ScenarioRow>, u64, u64);
+
+/// The shared range runner: `range`'s campaign blocks on one pool of
+/// `cfg.workers`, each block's scenarios in order over `cache`.
 fn run_matrix_range(
     matrix: &ScenarioMatrix,
     cfg: &MatrixConfig,
@@ -177,34 +165,21 @@ fn run_matrix_range(
     let t0 = Instant::now();
     let before = cache.stats();
     let fleet = Fleet::with_cache(cfg.fleet_config(), cache);
-    let chunk_size = cfg.chunk_size();
+    let blocks: Vec<Range<usize>> = matrix.blocks(range.clone()).collect();
+    let outcomes = ParallelExecutor::with_workers(cfg.workers)
+        .run(blocks.len(), |b| run_block(&fleet, matrix, blocks[b].clone()));
 
     let mut rows: Vec<ScenarioRow> = Vec::with_capacity(range.len());
     let (mut planned, mut executed) = (0u64, 0u64);
-    let mut scenarios = range.map(|i| matrix.scenario(i));
-    loop {
-        let chunk: Vec<Scenario> = scenarios.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        let jobs: Vec<TuningJob> = chunk
-            .iter()
-            .map(|s| {
-                Ok(TuningJob::new(s.workload.clone())
-                    .with_machine(s.build_machine()?)
-                    .with_campaign(s.campaign)
-                    .with_rep_policy(s.rep_policy)
-                    // Per-scenario telemetry label: the `fleet.job` span
-                    // of scenario #i reads "#i machine·workload".
-                    .with_label(format!("#{} {}·{}", s.index, s.entry.name, s.workload.name)))
-            })
-            .collect::<Result<_, TunerError>>()?;
-        let report = fleet.run(&jobs)?;
-        planned += report.stats.planned_cells;
-        executed += report.stats.executed_cells;
-        for ((scenario, job), job_report) in chunk.iter().zip(&jobs).zip(&report.reports) {
-            rows.push(ScenarioRow::build(scenario, &job.machine, &job_report.analysis));
-        }
+    // The first failing block in index order wins.
+    for outcome in outcomes {
+        let (block_rows, p, e) = outcome?;
+        rows.extend(block_rows);
+        planned += p;
+        executed += e;
+    }
+    if cfg.cache_enabled {
+        hmpt_obs::gauge("cache.entries").set(fleet.cache().len() as u64);
     }
 
     let wall_s = t0.elapsed().as_secs_f64();
@@ -217,6 +192,40 @@ fn run_matrix_range(
         scenarios_per_s: if wall_s > 0.0 { rows.len() as f64 / wall_s } else { 0.0 },
     };
     Ok((rows, stats))
+}
+
+/// Run one campaign block: its scenarios in index order, each through
+/// the fleet's per-job pipeline with serial cells. Every scenario of a
+/// block shares its machine, which is built once.
+fn run_block(
+    fleet: &Fleet,
+    matrix: &ScenarioMatrix,
+    block: Range<usize>,
+) -> Result<BlockOutcome, TunerError> {
+    let mut rows = Vec::with_capacity(block.len());
+    let (mut planned, mut executed) = (0u64, 0u64);
+    let mut machine: Option<Machine> = None;
+    for i in block {
+        let s = matrix.scenario(i);
+        let machine = match &machine {
+            Some(m) => m.clone(),
+            None => machine.insert(s.build_machine()?).clone(),
+        };
+        let job = TuningJob {
+            // Per-scenario telemetry label: the `fleet.job` span of
+            // scenario #i reads "#i machine·workload".
+            label: Some(format!("#{} {}·{}", s.index, s.entry.name, s.workload.name)),
+            spec: s.workload.clone(),
+            machine,
+            campaign: s.campaign,
+            rep_policy: Some(s.rep_policy),
+        };
+        let report = fleet.run_job(&job)?;
+        planned += report.analysis.campaign.planned_runs as u64;
+        executed += report.analysis.campaign.executed_runs as u64;
+        rows.push(ScenarioRow::build(&s, &job.machine, &report.analysis));
+    }
+    Ok((rows, planned, executed))
 }
 
 #[cfg(test)]
@@ -260,8 +269,7 @@ mod tests {
         let serial = run_matrix(
             &matrix,
             &MatrixConfig {
-                executor: ExecutorKind::Serial,
-                job_workers: 1,
+                workers: 1,
                 cache_enabled: false,
                 fast_path: false,
                 ..MatrixConfig::default()
@@ -270,14 +278,11 @@ mod tests {
         .unwrap();
         let parallel = run_matrix(
             &matrix,
-            &MatrixConfig { job_workers: 4, cache_enabled: false, ..MatrixConfig::default() },
+            &MatrixConfig { workers: 4, cache_enabled: false, ..MatrixConfig::default() },
         )
         .unwrap();
-        let cached = run_matrix(
-            &matrix,
-            &MatrixConfig { job_workers: 4, chunk: 1, ..MatrixConfig::default() },
-        )
-        .unwrap();
+        let cached =
+            run_matrix(&matrix, &MatrixConfig { workers: 4, ..MatrixConfig::default() }).unwrap();
         assert!(serial.bit_identical(&parallel), "parallel diverged");
         assert!(serial.bit_identical(&cached), "cached diverged");
         assert_eq!(serial.stats.cache.hits + serial.stats.cache.misses, 0, "cache was off");

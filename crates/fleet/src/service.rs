@@ -143,12 +143,6 @@ impl TuningJob {
         self.rep_policy = Some(rep_policy);
         self
     }
-
-    /// Telemetry label for this job's span (scenario coordinates, say).
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
-        self
-    }
 }
 
 /// What the fleet streams back per job.

@@ -29,9 +29,9 @@
 //! seed = 3                      # base RNG seed
 //!
 //! [execution]
-//! serial      = false           # force the serial cell executor
-//! workers     = 0               # cell workers (0 = auto)
-//! job_workers = 1               # concurrent jobs/scenarios (0 = auto)
+//! serial      = false           # force serial execution
+//! workers     = 0               # batch: cell workers; matrix: pool size (0 = auto)
+//! job_workers = 1               # batch: concurrent jobs; matrix: pool size (0 = auto)
 //! compare     = true            # batch: serial-vs-parallel timing pass
 //! online      = true            # batch: online-tuner verification
 //! verify      = true            # matrix: bit-identity re-runs
@@ -131,11 +131,14 @@ pub struct CampaignSection {
 /// `[execution]`: how cells are scheduled — never *what* they compute.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionSection {
-    /// Force the serial cell executor (default false).
+    /// Force serial execution (default false): the serial cell
+    /// executor in a batch, a one-worker block pool in a matrix.
     pub serial: Option<bool>,
-    /// Parallel cell workers (0 = auto; default 0).
+    /// Batch: parallel cell workers. Matrix: the campaign-block pool
+    /// size, unless `job_workers` is given. 0 = auto; default 0.
     pub workers: Option<usize>,
-    /// Concurrent jobs/scenarios (0 = auto; default 1).
+    /// Batch: concurrent jobs (default 1). Matrix: the campaign-block
+    /// pool size (default: `workers`). 0 = auto.
     pub job_workers: Option<usize>,
     /// Batch: run the serial-vs-parallel comparison pass (default true).
     pub compare: Option<bool>,
@@ -459,9 +462,11 @@ impl CampaignSpec {
                         Some(matrix.shard(k, n))
                     }
                 };
+                // A matrix has one pool, of campaign blocks: `serial`
+                // pins it to one worker, else `job_workers` sizes it,
+                // else `workers` (0 = auto).
                 let config = MatrixConfig {
-                    executor,
-                    job_workers,
+                    workers: if serial { 1 } else { exec.job_workers.unwrap_or(workers) },
                     cache_enabled,
                     fast_path,
                     ..MatrixConfig::default()

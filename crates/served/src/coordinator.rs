@@ -32,24 +32,24 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hmpt_core::cache::MeasurementCache;
-use hmpt_core::exec::ExecutorKind;
+use hmpt_core::exec::available_workers;
 use hmpt_core::scenario::{MatrixReport, ShardReport};
 use hmpt_core::store;
-use hmpt_fleet::matrix::MatrixConfig;
+use hmpt_fleet::matrix::{run_matrix_sharded, MatrixConfig};
 use hmpt_fleet::spec::{CampaignSpec, Resolved, ResolvedMatrix};
 use serde::Value;
 
 use crate::queue::{JobQueue, QueueConfig, QueueError, QueueSnapshot};
 use crate::state::{JobRecord, JobState, JobStats};
 use crate::wire::{ErrorKind, StatusView};
-use crate::worker::run_shards;
 
-/// How the daemon is shaped. `workers` is the shard fan-out per job —
-/// a throughput knob only, results are bit-identical at any value.
+/// How the daemon is shaped. `workers` sizes each job's campaign-block
+/// pool — a throughput knob only, results are bit-identical at any
+/// value.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
     pub state_dir: PathBuf,
-    /// Shard workers per job; 0 means one per available CPU.
+    /// Campaign-block pool size per job; 0 means one per available CPU.
     pub workers: usize,
     /// Max live (queued + mid-flight) jobs per tenant.
     pub tenant_quota: usize,
@@ -495,7 +495,7 @@ impl Coordinator {
         let started = Instant::now();
         let _job = hmpt_obs::span_with("serve.job", || format!("job {id} {}", record.tenant));
         let simulated = self.simulate(&record);
-        let (shards, job_cache) = match simulated {
+        let (shard, job_cache) = match simulated {
             Ok(pair) => pair,
             Err(message) => return self.finish_failed(id, message),
         };
@@ -513,7 +513,7 @@ impl Coordinator {
         let merge_started = Instant::now();
         let merged = {
             let _m = hmpt_obs::span_with("serve.merge", || format!("job {id}"));
-            self.merge_and_fold(&record, &shards, &job_cache)
+            self.merge_and_fold(&record, shard, &job_cache)
         };
         let report = match merged {
             Ok(report) => report,
@@ -546,12 +546,10 @@ impl Coordinator {
         }
     }
 
-    /// Resolve the job's spec and fan it out to the shard workers
-    /// against a private cache seeded from the shared one.
-    fn simulate(
-        &self,
-        record: &JobRecord,
-    ) -> Result<(Vec<ShardReport>, Arc<MeasurementCache>), String> {
+    /// Resolve the job's spec and run its whole matrix as one range
+    /// through the campaign-block pool, against a private cache seeded
+    /// from the shared one.
+    fn simulate(&self, record: &JobRecord) -> Result<(ShardReport, Arc<MeasurementCache>), String> {
         let resolved = CampaignSpec::parse(&record.spec)
             .and_then(|spec| spec.resolve())
             .map_err(|e| e.to_string())?;
@@ -569,51 +567,43 @@ impl Coordinator {
             );
         }
 
-        let workers = if self.cfg.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.cfg.workers
+        let workers = match self.cfg.workers {
+            0 => available_workers(),
+            n => n,
         };
-        let shards =
-            run_shards(&matrix, &config, workers, &job_cache).map_err(|e| e.to_string())?;
+        let whole = matrix.shard(0, 1);
+        let config = MatrixConfig { workers, ..config };
+        let report = run_matrix_sharded(&matrix, &config, whole, Arc::clone(&job_cache))
+            .map_err(|e| e.to_string())?;
         if verify {
             // The spec asked for the bit-identity audit: re-run serial
             // and uncached, exactly like the offline shard path.
-            let vcfg = MatrixConfig {
-                executor: ExecutorKind::Serial,
-                job_workers: 1,
-                cache_enabled: false,
-                ..config
-            };
-            let vcache = Arc::new(MeasurementCache::new());
-            let others = run_shards(&matrix, &vcfg, shards.len(), &vcache)
-                .map_err(|e| format!("verify re-run: {e}"))?;
-            for (a, b) in shards.iter().zip(&others) {
-                if !a.bit_identical(b) {
-                    return Err("diverged from the serial-uncached re-run".into());
-                }
+            let vcfg = MatrixConfig { workers: 1, cache_enabled: false, ..config };
+            let other =
+                run_matrix_sharded(&matrix, &vcfg, whole, Arc::new(MeasurementCache::new()))
+                    .map_err(|e| format!("verify re-run: {e}"))?;
+            if !report.bit_identical(&other) {
+                return Err("diverged from the serial-uncached re-run".into());
             }
         }
-        Ok((shards, job_cache))
+        Ok((report, job_cache))
     }
 
-    /// Fingerprint-validate and merge the shard reports, then fold the
-    /// job's cache delta into the shared cache and persist it.
+    /// Fingerprint-validate the job's report and assemble it, then fold
+    /// the job's cache delta into the shared cache and persist it.
     fn merge_and_fold(
         &self,
         record: &JobRecord,
-        shards: &[ShardReport],
+        shard: ShardReport,
         job_cache: &MeasurementCache,
     ) -> Result<MatrixReport, String> {
-        for shard in shards {
-            if shard.matrix_fingerprint != record.fingerprint {
-                return Err(format!(
-                    "shard {} fingerprint {} does not match the spec fingerprint {}",
-                    shard.shard, shard.matrix_fingerprint, record.fingerprint
-                ));
-            }
+        if shard.matrix_fingerprint != record.fingerprint {
+            return Err(format!(
+                "job fingerprint {} does not match the spec fingerprint {}",
+                shard.matrix_fingerprint, record.fingerprint
+            ));
         }
-        let mut report = MatrixReport::merge(shards).map_err(|e| e.to_string())?;
+        let mut report = MatrixReport::merge(&[shard]).map_err(|e| e.to_string())?;
         report.spec_fingerprint = Some(record.fingerprint.clone());
         if !report.capacity_ok() {
             return Err("scenario exceeds machine capacity".into());

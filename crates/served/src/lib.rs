@@ -13,14 +13,13 @@
 //!   (`Queued → Running → Merging → Completed | Failed`, `Cancelled`
 //!   from the queue) and a priority queue with per-tenant admission
 //!   quotas and cancellation.
-//! * [`coordinator`] + [`worker`] — execution: the coordinator owns a
-//!   shared persistent [`hmpt_core::cache::MeasurementCache`]; per job
-//!   it seeds a private cache from the shared one, fans the scenario
-//!   matrix out to shard [`worker`]s, merges the streamed
-//!   `ShardReport`s with the existing fingerprint validation, and folds
-//!   the job's cache delta back via [`hmpt_core::store::fold`] — so a
-//!   second job never re-simulates cells a previous job measured
-//!   (the PR 4 cross-job boundary-cell double-simulation).
+//! * [`coordinator`] — execution: the coordinator owns a shared
+//!   persistent [`hmpt_core::cache::MeasurementCache`]; per job it
+//!   seeds a private cache from the shared one, runs the whole scenario
+//!   matrix as one range through the fleet's campaign-block pool,
+//!   validates the report's fingerprint against the spec, and folds the
+//!   job's cache delta back via [`hmpt_core::store::fold`] — so a
+//!   second job never re-simulates cells a previous job measured.
 //!
 //! [`server`] is the accept loop binding [`wire`] to a
 //! [`coordinator::Coordinator`]; [`client`] is the blocking client the
@@ -37,7 +36,6 @@ pub mod queue;
 pub mod server;
 pub mod state;
 pub mod wire;
-pub mod worker;
 
 pub use client::{Client, ClientError};
 pub use coordinator::{Coordinator, CoordinatorConfig, ServeError};

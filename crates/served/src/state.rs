@@ -4,7 +4,7 @@
 //! state graph:
 //!
 //! ```text
-//!             submit            claim            shards done
+//!             submit            claim            matrix done
 //!   (wire) ──────────▶ Queued ────────▶ Running ────────────▶ Merging
 //!                        │                 │                     │
 //!                 cancel │            fail │                fail │ merge ok
@@ -28,9 +28,10 @@ use serde::{Deserialize, Serialize};
 pub enum JobState {
     /// Accepted and waiting for the runner.
     Queued,
-    /// Shard workers are simulating its scenario matrix.
+    /// Its scenario matrix is being simulated.
     Running,
-    /// Shards done; reports are being merged and the cache folded.
+    /// Simulation done; the report is being assembled and the cache
+    /// folded.
     Merging,
     /// Merged report on disk; `Report` will serve it.
     Completed,
@@ -110,7 +111,7 @@ pub struct JobStats {
     pub cells_skipped: u64,
     /// End-to-end job wall time, seconds (claim → report on disk).
     pub wall_s: f64,
-    /// Of which: merging shard reports + folding the cache, seconds.
+    /// Of which: assembling the report + folding the cache, seconds.
     pub merge_s: f64,
 }
 

@@ -14,7 +14,6 @@ use hmpt_fleet::{
     MeasurementCache, ScenarioMatrix, ShardReport,
 };
 use hmpt_repro::core::campaign::RepPolicy;
-use hmpt_repro::core::exec::ExecutorKind;
 use hmpt_repro::core::measure::CampaignConfig;
 use hmpt_repro::sim::noise::NoiseModel;
 use hmpt_repro::sim::stream::Direction;
@@ -199,19 +198,22 @@ proptest! {
             .with_campaign(campaign(seed));
 
         let serial = run_matrix(&matrix, &MatrixConfig {
-            executor: ExecutorKind::Serial,
-            job_workers: 1,
+            workers: 1,
             cache_enabled: false,
             ..MatrixConfig::default()
         }).unwrap();
         let parallel = run_matrix(&matrix, &MatrixConfig {
-            executor: ExecutorKind::parallel(),
-            job_workers: workers,
+            workers,
             cache_enabled: false,
             ..MatrixConfig::default()
         }).unwrap();
         let cached = run_matrix(&matrix, &MatrixConfig {
-            job_workers: workers,
+            workers,
+            cache_enabled: true,
+            ..MatrixConfig::default()
+        }).unwrap();
+        let cached_serial = run_matrix(&matrix, &MatrixConfig {
+            workers: 1,
             cache_enabled: true,
             ..MatrixConfig::default()
         }).unwrap();
@@ -219,9 +221,12 @@ proptest! {
         prop_assert!(serial.bit_identical(&parallel), "parallel diverged from serial");
         prop_assert!(serial.bit_identical(&cached), "cached diverged from serial");
         prop_assert!(serial.capacity_ok());
+        // Accounting is deterministic too: cache hits, misses and
+        // entries do not depend on the pool size.
+        prop_assert_eq!(cached.stats.cache, cached_serial.stats.cache);
         // A warmed cache answers the whole matrix with zero new runs.
         let cache = Arc::new(MeasurementCache::new());
-        let cfg = MatrixConfig { job_workers: 1, ..MatrixConfig::default() };
+        let cfg = MatrixConfig { workers: 1, ..MatrixConfig::default() };
         let cold = run_matrix_with_cache(&matrix, &cfg, Arc::clone(&cache)).unwrap();
         let warm = run_matrix_with_cache(&matrix, &cfg, Arc::clone(&cache)).unwrap();
         prop_assert!(cold.bit_identical(&warm));
@@ -244,7 +249,7 @@ proptest! {
         .with_campaign(campaign(seed));
 
         let report = run_matrix(&matrix, &MatrixConfig {
-            job_workers: 1,
+            workers: 1,
             ..MatrixConfig::default()
         }).unwrap();
         prop_assert_eq!(report.scenarios.len(), 2);
