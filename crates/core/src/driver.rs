@@ -59,6 +59,11 @@ impl Analysis {
     }
 }
 
+/// Seed of the profiling run of a [`Driver::new`] driver. Campaign
+/// front ends hash it into their result fingerprints, since it
+/// determines the profile and with it the allocation groups.
+pub const PROFILE_SEED: u64 = 7;
+
 /// The tuning driver.
 ///
 /// ```
@@ -102,7 +107,7 @@ impl Driver {
             machine,
             grouping: GroupingConfig::default(),
             campaign: CampaignConfig::default(),
-            profile_seed: 7,
+            profile_seed: PROFILE_SEED,
             executor: ExecutorKind::Serial,
             rep_policy: RepPolicy::Fixed,
             cache: None,

@@ -25,10 +25,10 @@
 //! subsystem's public surface.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::cache::MeasurementCache;
+use crate::cache::{CacheStats, MeasurementCache};
 use crate::campaign::CellSpec;
 use crate::error::TunerError;
 use crate::measure::CellOutcome;
@@ -234,15 +234,29 @@ impl<E: RunExecutor> CellExecutor for E {
 /// wrapped executor evaluates. Because a cell's key covers everything
 /// the simulation depends on — machine, spec, plan, noise ⊕ seed — a
 /// hit returns the bit-identical outcome the run would have produced.
-#[derive(Debug, Clone)]
+///
+/// The executor counts its own lookups ([`Self::stats`]), so a caller
+/// sharing the cache with concurrent work can attribute traffic
+/// without reading the cache's global counters.
+#[derive(Debug)]
 pub struct CachingExecutor<E: RunExecutor = ExecutorKind> {
     inner: E,
     cache: Arc<MeasurementCache>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl<E: RunExecutor> CachingExecutor<E> {
     pub fn new(inner: E, cache: Arc<MeasurementCache>) -> Self {
-        CachingExecutor { inner, cache }
+        CachingExecutor { inner, cache, hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
+    }
+
+    /// The cache traffic of this executor's cells alone: lookups
+    /// answered from the cache, and cells it simulated. `entries`
+    /// counts one inserted entry per simulated cell.
+    pub fn stats(&self) -> CacheStats {
+        let misses = self.misses.load(Ordering::Relaxed);
+        CacheStats { hits: self.hits.load(Ordering::Relaxed), misses, entries: misses }
     }
 
     pub fn cache(&self) -> &Arc<MeasurementCache> {
@@ -263,10 +277,15 @@ impl<E: RunExecutor> CellExecutor for CachingExecutor<E> {
         self.inner.run(cells.len(), |i| {
             // The span sits inside the cache consult: a hit costs no
             // simulate span, so `exec.cell` counts actual simulations.
-            self.cache.get_or_measure(cells[i].key, || {
+            let mut simulated = false;
+            let outcome = self.cache.get_or_measure(cells[i].key, || {
+                simulated = true;
                 let _cell = hmpt_obs::span("exec.cell");
                 measure(&cells[i])
-            })
+            });
+            let counter = if simulated { &self.misses } else { &self.hits };
+            counter.fetch_add(1, Ordering::Relaxed);
+            outcome
         })
     }
 
@@ -390,6 +409,12 @@ mod tests {
             assert_eq!(a.as_ref().unwrap().time_s.to_bits(), b.as_ref().unwrap().time_s.to_bits());
         }
         assert_eq!(cache.stats().hits, 4);
+        assert_eq!(exec.stats(), CacheStats { hits: 4, misses: 4, entries: 4 });
+        // A second executor over the same warmed cache counts only its
+        // own lookups.
+        let other = CachingExecutor::new(ExecutorKind::Serial, Arc::clone(&cache));
+        other.run_cells(&cells[..2], &measure);
+        assert_eq!(other.stats(), CacheStats { hits: 2, misses: 0, entries: 0 });
         assert!(exec.describe().contains("cache"));
         assert_eq!(exec.inner(), &ExecutorKind::Serial);
     }

@@ -357,19 +357,76 @@ pub fn from_bytes(bytes: &[u8], cache: &MeasurementCache) -> Result<LoadReport, 
     Ok(report)
 }
 
-/// Write the cache to `path` atomically (temp file + rename, so a
-/// concurrent reader never observes a half-written snapshot).
+/// Write `bytes` to `path` atomically: a same-directory temp file,
+/// then a rename, so a concurrent reader never observes a half-written
+/// file. The temp file is removed if either step fails. Every durable
+/// file of the workspace (cache snapshots, the daemon's queue and
+/// reports, the warehouse) is written through here.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let result = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Write the cache to `path` atomically ([`write_atomic`]).
 pub fn save(cache: &MeasurementCache, path: impl AsRef<Path>) -> Result<SaveReport, StoreError> {
-    let path = path.as_ref();
     let _span = hmpt_obs::span("store.save");
     let (bytes, report) = to_bytes(cache);
     hmpt_obs::counter("store.bytes_written").add(bytes.len() as u64);
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    if let Err(e) = fs::write(&tmp, &bytes).and_then(|()| fs::rename(&tmp, path)) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e.into());
-    }
+    write_atomic(path.as_ref(), &bytes)?;
     Ok(report)
+}
+
+/// Save-on-finish: sweep the cache to its `max_records` least-recently
+/// used bound (if any), then [`save`] it to `path`.
+pub fn persist(
+    cache: &MeasurementCache,
+    path: &Path,
+    max_records: Option<u64>,
+) -> Result<SaveReport, StoreError> {
+    if let Some(max) = max_records {
+        cache.compact(max as usize);
+    }
+    save(cache, path)
+}
+
+/// Load-on-start: preload the snapshot at `path` (if one exists) into
+/// `cache` and return the number of cells loaded. A partially recovered
+/// snapshot loads what it can; an unusable one (foreign format or key
+/// semantics, header damage, I/O failure) is a cold start. Both are
+/// reported as warnings under `event`, because a warm start that
+/// silently re-simulates from cold is just an unexplained slow run.
+pub fn preload(cache: &MeasurementCache, path: &Path, event: &'static str) -> u64 {
+    if !path.exists() {
+        return 0;
+    }
+    match load_into(cache, path) {
+        Ok(report) => {
+            if report.skipped > 0 || report.truncated {
+                hmpt_obs::warn(
+                    event,
+                    format!(
+                        "cache snapshot {} partially recovered ({} cells loaded, {} skipped{})",
+                        path.display(),
+                        report.loaded,
+                        report.skipped,
+                        if report.truncated { ", truncated" } else { "" }
+                    ),
+                );
+            }
+            report.loaded
+        }
+        Err(e) => {
+            hmpt_obs::warn(
+                event,
+                format!("ignoring cache snapshot {} (cold start): {e}", path.display()),
+            );
+            0
+        }
+    }
 }
 
 /// Load a snapshot into an existing cache (preload / warm-start path;
@@ -722,5 +779,31 @@ mod tests {
         assert_eq!(restored.len(), 4);
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(load_into(&restored, &path), Err(StoreError::Io(_))));
+    }
+
+    #[test]
+    fn a_failed_rename_leaves_no_temp_file_behind() {
+        // A non-empty directory at the target path: the temp write
+        // succeeds, the rename over it fails.
+        let target = std::env::temp_dir().join(format!("hmpt-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        assert!(write_atomic(&target, b"bytes").is_err());
+        let tmp = target.with_extension(format!("tmp.{}", std::process::id()));
+        assert!(!tmp.exists(), "temp file left behind");
+        std::fs::remove_dir_all(&target).unwrap();
+    }
+
+    #[test]
+    fn preload_cold_starts_on_a_missing_or_unusable_snapshot() {
+        let path = std::env::temp_dir().join(format!("hmpt-preload-{}.bin", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cache = MeasurementCache::new();
+        assert_eq!(preload(&cache, &path, "test.cache"), 0, "no snapshot: cold start");
+        std::fs::write(&path, b"not a snapshot").unwrap();
+        assert_eq!(preload(&cache, &path, "test.cache"), 0, "bad magic: cold start");
+        persist(&sample_cache(), &path, Some(3)).unwrap();
+        assert_eq!(preload(&cache, &path, "test.cache"), 3, "persist swept to the bound");
+        assert_eq!(cache.len(), 3);
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use hmpt_core::driver::Driver;
 use hmpt_core::error::TunerError;
-use hmpt_core::exec::ExecutorKind;
+use hmpt_core::exec::{ParallelExecutor, RunExecutor, SerialExecutor};
 use hmpt_core::measure::run_campaign_with;
 use hmpt_core::scenario::{rows_capacity_ok, MatrixReport, MergeError, ShardReport};
 use hmpt_core::store::{self, LoadReport, SaveReport, StoreError};
@@ -88,9 +88,11 @@ pub enum Response {
     Merge(MergeOutcome),
 }
 
-/// The serial-vs-parallel timing pass of a batch request (also a
-/// bit-identity check — a divergence is an [`ApiError::Diverged`], so a
-/// comparison you can read implies determinism held).
+/// The timing pass of a batch request: its campaigns run one after
+/// another, then on the batch's job pool (an auto-sized one when the
+/// batch itself runs serially). It is also a bit-identity check — a
+/// divergence is an [`ApiError::Diverged`], so a comparison you can
+/// read implies determinism held.
 #[derive(Debug, Clone, Serialize)]
 pub struct Comparison {
     pub serial_s: f64,
@@ -243,13 +245,13 @@ fn execute_batch(
 ) -> Result<BatchOutcome, ApiError> {
     let _span = hmpt_obs::span("api.batch");
     let comparison = if resolved.compare {
-        // Time against the configured parallel pool (or an auto-sized
-        // one when the main run is serial — the pass exists to compare).
-        let parallel = match resolved.fleet.executor {
-            ExecutorKind::Parallel { .. } => resolved.fleet.executor,
-            ExecutorKind::Serial => ExecutorKind::parallel(),
+        // A serial batch compares against an auto-sized pool — the pass
+        // exists to compare.
+        let workers = match resolved.fleet.workers {
+            1 => 0,
+            n => n,
         };
-        Some(compare(&resolved.jobs, parallel)?)
+        Some(compare(&resolved.jobs, workers)?)
     } else {
         None
     };
@@ -259,9 +261,9 @@ fn execute_batch(
     Ok(BatchOutcome { report, comparison, preloaded, fingerprint })
 }
 
-/// Serial vs parallel on the same campaigns, checking bit-identity —
-/// the timing pass behind `execution.compare`.
-fn compare(jobs: &[TuningJob], parallel: ExecutorKind) -> Result<Comparison, ApiError> {
+/// The campaigns one after another vs on a job pool of `workers`,
+/// checking bit-identity — the timing pass behind `execution.compare`.
+fn compare(jobs: &[TuningJob], workers: usize) -> Result<Comparison, ApiError> {
     // Profile + group once per job; time only the campaigns (the part
     // the executor abstraction parallelizes).
     let prepared = jobs
@@ -278,21 +280,21 @@ fn compare(jobs: &[TuningJob], parallel: ExecutorKind) -> Result<Comparison, Api
         })
         .collect::<Result<Vec<_>, TunerError>>()?;
 
-    let run_all = |exec: ExecutorKind| {
-        prepared
-            .iter()
-            .map(|(job, groups)| {
-                run_campaign_with(&exec, &job.machine, &job.spec, groups, &job.campaign)
-            })
-            .collect::<Result<Vec<_>, TunerError>>()
+    // One job's campaign, its cells serial — the pool is at job level.
+    let campaign = |i: usize| {
+        let (job, groups) = &prepared[i];
+        run_campaign_with(&SerialExecutor, &job.machine, &job.spec, groups, &job.campaign)
     };
 
     let t0 = Instant::now();
-    let serial = run_all(ExecutorKind::Serial)?;
+    let serial = (0..prepared.len()).map(campaign).collect::<Result<Vec<_>, TunerError>>()?;
     let serial_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let par = run_all(parallel)?;
+    let par = ParallelExecutor::with_workers(workers)
+        .run(prepared.len(), campaign)
+        .into_iter()
+        .collect::<Result<Vec<_>, TunerError>>()?;
     let parallel_s = t0.elapsed().as_secs_f64();
 
     let bit_identical = serial.iter().zip(&par).all(|(a, b)| {
@@ -316,46 +318,13 @@ fn execute_matrix(resolved: ResolvedMatrix, fingerprint: String) -> Result<Respo
     let _span = hmpt_obs::span("api.matrix");
     let ResolvedMatrix { matrix, config, verify, cache_file, cache_max_records, shard } = resolved;
     let cache = Arc::new(MeasurementCache::new());
-    let mut preloaded = 0;
-    if let Some(path) = cache_file.as_ref().filter(|p| p.exists()) {
-        // An unusable snapshot is a cold start, not an error — parity
-        // with `Fleet::with_cache`, including the diagnostics: a CI
-        // warm-start that silently re-simulates from cold is just an
-        // unexplained slow run.
-        match store::load_into(&cache, path) {
-            Ok(report) => {
-                preloaded = report.loaded;
-                if report.skipped > 0 || report.truncated {
-                    hmpt_obs::warn(
-                        "fleet.cache",
-                        format!(
-                            "hmpt-fleet: cache snapshot {} partially recovered \
-                             ({} cells loaded, {} skipped{})",
-                            path.display(),
-                            report.loaded,
-                            report.skipped,
-                            if report.truncated { ", truncated" } else { "" }
-                        ),
-                    );
-                }
-            }
-            Err(e) => {
-                hmpt_obs::warn(
-                    "fleet.cache",
-                    format!(
-                        "hmpt-fleet: ignoring cache snapshot {} (cold start): {e}",
-                        path.display()
-                    ),
-                );
-            }
-        }
-    }
+    let preloaded =
+        cache_file.as_ref().map_or(0, |path| store::preload(&cache, path, "fleet.cache"));
     let save = |cache: &MeasurementCache| -> Option<String> {
         let path = cache_file.as_ref()?;
-        if let Some(max) = cache_max_records {
-            cache.compact(max as usize);
-        }
-        store::save(cache, path).err().map(|e| format!("{}: {e}", path.display()))
+        store::persist(cache, path, cache_max_records)
+            .err()
+            .map(|e| format!("{}: {e}", path.display()))
     };
 
     if let Some(shard_spec) = shard {

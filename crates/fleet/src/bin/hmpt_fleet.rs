@@ -50,7 +50,7 @@
 //! hmpt-fleet cache compact cells.bin --max-records 50000
 //! ```
 
-use hmpt_core::exec::{available_workers, ExecutorKind, RunExecutor};
+use hmpt_core::exec::{ParallelExecutor, RunExecutor};
 use hmpt_fleet::api::{self, BatchOutcome, Comparison, MergeRequest, Request, Response};
 use hmpt_fleet::cli::{self, Action, ClientCmd, ReportCmd};
 use hmpt_fleet::spec::{CampaignSpec, Resolved, TelemetrySection};
@@ -85,8 +85,9 @@ fn usage() -> ! {
          \x20      hmpt-fleet cancel JOB --connect ADDR\n\
          \x20      hmpt-fleet drain --connect ADDR\n\
          options:\n\
-         \x20 --workers N     parallel worker count (default: available parallelism)\n\
-         \x20 --serial        use the serial executor\n\
+         \x20 --workers N     pool size: batch jobs, scenarios campaign blocks\n\
+         \x20                 (default: available parallelism)\n\
+         \x20 --serial        run serially (a pool of one)\n\
          \x20 --reps N        runs per configuration (default 3; --runs is an alias)\n\
          \x20 --ci-target X   adaptive repetitions: retire a configuration once its\n\
          \x20                 95% CI half-width falls to X of the mean (e.g. 0.02)\n\
@@ -100,8 +101,7 @@ fn usage() -> ! {
          \x20 --no-compare    skip the serial-vs-parallel comparison pass\n\
          \x20 --no-online     skip the online-tuner verification pass\n\
          \x20 --json PATH     write the JSON report to PATH (default: stdout)\n\
-         \x20 --job-workers N batch: concurrent jobs (default 1); scenarios: the\n\
-         \x20                 campaign-block pool size (default: --workers; 0 = auto)\n\
+         \x20 --job-workers N pool size, overriding --workers (0 = auto)\n\
          \x20 --cache-file P  persistent measurement cache: load the snapshot on\n\
          \x20                 start (if present), save it back on finish\n\
          \x20 --cache-max N   LRU-sweep the cache to N records at save time\n\
@@ -570,9 +570,9 @@ fn describe(spec: &CampaignSpec) {
             hmpt_obs::info(
                 "fleet.spec",
                 format!(
-                    "hmpt-fleet: batch of {} job(s) on {} (reps {}, seed {}, cache {})",
+                    "hmpt-fleet: batch of {} job(s) on {} worker(s) (reps {}, seed {}, cache {})",
                     b.jobs.len(),
-                    b.fleet.executor.label(),
+                    ParallelExecutor::with_workers(b.fleet.workers).workers(),
                     b.fleet.rep_policy.label(b.campaign.runs_per_config),
                     b.campaign.base_seed,
                     if b.fleet.cache_enabled { "on" } else { "off" },
@@ -592,10 +592,7 @@ fn describe(spec: &CampaignSpec) {
                     m.matrix.noise_cvs().len(),
                     m.matrix.len(),
                     m.matrix.blocks(0..m.matrix.len()).len(),
-                    match m.config.workers {
-                        0 => available_workers(),
-                        n => n,
-                    },
+                    ParallelExecutor::with_workers(m.config.workers).workers(),
                     if m.config.cache_enabled { "on" } else { "off" },
                     match &m.shard {
                         Some(s) => format!(
@@ -899,15 +896,11 @@ fn render_batch(
         ),
     );
 
-    let pool = match resolved.fleet.executor {
-        ExecutorKind::Serial => 1,
-        ExecutorKind::Parallel { workers: 0 } => available_workers(),
-        ExecutorKind::Parallel { workers } => workers,
-    };
+    let pool = ParallelExecutor::with_workers(resolved.fleet.workers);
     let report = Report {
         machine: spec.machine.clone().unwrap_or_else(|| "xeon_max_9468".to_string()),
-        workers: pool,
-        executor: resolved.fleet.executor.label(),
+        workers: pool.workers(),
+        executor: pool.label(),
         runs_per_config: resolved.campaign.runs_per_config,
         rep_policy: resolved.fleet.rep_policy.label(resolved.campaign.runs_per_config),
         cache_enabled: resolved.fleet.cache_enabled,

@@ -8,12 +8,14 @@
 //! * **Executors** ([`RunExecutor`], [`SerialExecutor`],
 //!   [`ParallelExecutor`], re-exported from `hmpt_core::exec`): every
 //!   (configuration, repetition) cell of a campaign is an independent
-//!   simulated run with a derived seed, so a work-stealing pool of std
-//!   threads evaluates them concurrently and reassembles results in
-//!   canonical order — **bit-identical** to serial execution.
+//!   simulated run with a derived seed, so work can be split across a
+//!   work-stealing pool of std threads and reassembled in canonical
+//!   order — **bit-identical** to serial execution. The front ends
+//!   have one level of parallelism each: a batch pools its jobs, a
+//!   matrix its campaign blocks; cells run serially inside either.
 //! * **[`MeasurementCache`]** (re-exported from `hmpt_core::cache`): a
 //!   content-addressed cell cache keyed by fingerprints of (machine,
-//!   workload spec, placement plan, noise ⊕ seed). Identical cells
+//!   workload spec, groups ⊕ configuration, noise ⊕ seed). Identical cells
 //!   across jobs — shared DDR-only baselines, sensitivity sweeps
 //!   re-visiting the stock machine, online-search probes of
 //!   configurations the exhaustive campaign already measured — are
@@ -26,11 +28,12 @@
 //!   runtime is known tightly enough — bit-identically across serial,
 //!   parallel, and cached execution.
 //! * **[`Fleet`]**: the batch front end. It accepts tuning jobs
-//!   (workload × machine × campaign settings), schedules their cells
-//!   across the pool through the cache — concurrently across jobs when
-//!   [`FleetConfig::job_workers`] allows — streams per-job
-//!   [`hmpt_core::driver::Analysis`] results in deterministic order,
-//!   and reports cache-hit, early-stop, and throughput statistics.
+//!   (workload × machine × campaign settings), runs them on one pool
+//!   of [`FleetConfig::workers`] through the shared cache — jobs that
+//!   share a machine and workload in order, in one pool unit — streams
+//!   per-job [`hmpt_core::driver::Analysis`] results in deterministic
+//!   order, and reports cache-hit, early-stop, and throughput
+//!   statistics whose counts do not depend on the pool size.
 //! * **Scenario matrices** ([`matrix`], over
 //!   [`hmpt_core::scenario::ScenarioMatrix`] and the machine zoo
 //!   [`hmpt_sim::zoo`]): lazily enumerated cross-platform campaigns —

@@ -30,8 +30,9 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
+use hmpt_core::driver::PROFILE_SEED;
 use hmpt_core::error::TunerError;
-use hmpt_core::exec::{ExecutorKind, ParallelExecutor, RunExecutor};
+use hmpt_core::exec::{ParallelExecutor, RunExecutor};
 use hmpt_core::grouping::GroupingConfig;
 use hmpt_core::scenario::{
     MatrixReport, MatrixStats, ScenarioMatrix, ScenarioRow, ShardReport, ShardSpec,
@@ -51,9 +52,6 @@ pub struct MatrixConfig {
     pub workers: usize,
     /// Consult the shared content-addressed cache per cell.
     pub cache_enabled: bool,
-    pub grouping: GroupingConfig,
-    /// Seed of each scenario's profiling run.
-    pub profile_seed: u64,
     /// Evaluate campaign cells through the batched cold-path kernel
     /// (default true; bit-identical by contract, so — like the pool
     /// size — deliberately excluded from [`Self::bits_fingerprint`]).
@@ -62,22 +60,17 @@ pub struct MatrixConfig {
 
 impl Default for MatrixConfig {
     fn default() -> Self {
-        MatrixConfig {
-            workers: 0,
-            cache_enabled: true,
-            grouping: GroupingConfig::default(),
-            profile_seed: 7,
-            fast_path: true,
-        }
+        MatrixConfig { workers: 0, cache_enabled: true, fast_path: true }
     }
 }
 
 impl MatrixConfig {
     /// Content fingerprint of the execution settings that determine row
-    /// *bits*: the profiling seed and the grouping parameters. Pool size
-    /// and caching are deliberately excluded — bit-identity across those
-    /// is the subsystem's core invariant, so they may legitimately
-    /// differ between shards.
+    /// *bits*: the profiling seed ([`PROFILE_SEED`]) and the grouping
+    /// parameters (the defaults — the fleet pipeline offers no others).
+    /// Pool size and caching are deliberately excluded — bit-identity
+    /// across those is the subsystem's core invariant, so they may
+    /// legitimately differ between shards.
     ///
     /// [`ShardReport::matrix_fingerprint`] is
     /// `matrix.fingerprint().combine(cfg.bits_fingerprint().raw())`,
@@ -85,19 +78,16 @@ impl MatrixConfig {
     /// matrix-mode spec — which is what lets a spec file act as the
     /// merge-validation artifact CI passes between shard jobs.
     pub fn bits_fingerprint(&self) -> Fingerprint {
-        Fingerprint::of(&self.grouping).combine(self.profile_seed)
+        Fingerprint::of(&GroupingConfig::default()).combine(PROFILE_SEED)
     }
 
     /// The per-scenario pipeline: cells run serially inside a block
     /// (the pool is at block level), no online check.
     fn fleet_config(&self) -> FleetConfig {
         FleetConfig {
-            executor: ExecutorKind::Serial,
-            grouping: self.grouping,
-            profile_seed: self.profile_seed,
+            workers: 1,
             online_check: false,
             cache_enabled: self.cache_enabled,
-            job_workers: 1,
             fast_path: self.fast_path,
             ..FleetConfig::default()
         }
@@ -130,8 +120,8 @@ pub fn run_matrix_with_cache(
 ///
 /// The report's `matrix_fingerprint` combines the matrix-axes
 /// fingerprint with the execution settings that determine row bits
-/// (profiling seed, grouping), so shards run under inconsistent
-/// configurations refuse to merge.
+/// ([`MatrixConfig::bits_fingerprint`]), so shards of different
+/// matrices refuse to merge.
 pub fn run_matrix_sharded(
     matrix: &ScenarioMatrix,
     cfg: &MatrixConfig,
@@ -268,12 +258,7 @@ mod tests {
         // doubles as a fleet-level check of the fast path's bit-identity.
         let serial = run_matrix(
             &matrix,
-            &MatrixConfig {
-                workers: 1,
-                cache_enabled: false,
-                fast_path: false,
-                ..MatrixConfig::default()
-            },
+            &MatrixConfig { workers: 1, cache_enabled: false, fast_path: false },
         )
         .unwrap();
         let parallel = run_matrix(
@@ -370,31 +355,6 @@ mod tests {
         assert!(b.stats.cache.hits > 0);
         let merged = MatrixReport::merge(&[a, b]).unwrap();
         assert!(run_matrix(&matrix, &cfg).unwrap().bit_identical(&merged));
-    }
-
-    #[test]
-    fn shards_with_different_execution_settings_refuse_to_merge() {
-        let matrix = tiny_matrix();
-        let a = run_matrix_sharded(
-            &matrix,
-            &MatrixConfig::default(),
-            matrix.shard(0, 2),
-            Arc::new(MeasurementCache::new()),
-        )
-        .unwrap();
-        // Same matrix, different profiling seed: row bits differ, so
-        // the combined fingerprint must refuse the merge.
-        let b = run_matrix_sharded(
-            &matrix,
-            &MatrixConfig { profile_seed: 9, ..MatrixConfig::default() },
-            matrix.shard(1, 2),
-            Arc::new(MeasurementCache::new()),
-        )
-        .unwrap();
-        assert!(matches!(
-            MatrixReport::merge(&[a, b]),
-            Err(hmpt_core::scenario::MergeError::MatrixMismatch { .. })
-        ));
     }
 
     #[test]

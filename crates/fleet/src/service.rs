@@ -1,18 +1,27 @@
-//! The fleet front end: batches of tuning jobs over a shared pool and
-//! cache.
+//! The fleet front end: batches of tuning jobs over one pool and a
+//! shared cache.
 //!
 //! Each job runs the full Fig 6 pipeline (profile → group → measure →
 //! analyze). The measurement campaign is planned as a
 //! [`CampaignPlan`] — cells enumerated lazily, fingerprints memoized
-//! once per job — and streamed through the configured executor, wrapped
-//! in a [`hmpt_core::exec::CachingExecutor`] over the shared
-//! [`MeasurementCache`] unless caching is disabled. An optional per-job *online verification pass*
+//! once per job — and its cells run serially, through a
+//! [`CachingExecutor`] over the shared [`MeasurementCache`] unless
+//! caching is disabled. An optional per-job *online verification pass*
 //! replays the paper's incremental tuner through the same plan and
 //! cache — its probes revisit configurations the exhaustive campaign
 //! just measured (same derived seeds), so a warmed cache answers them
 //! without new simulated runs while proving exhaustive and online
 //! tuning agree.
+//!
+//! A batch has one level of parallelism, the same as a scenario
+//! matrix: its jobs run on one pool of [`FleetConfig::workers`]. Jobs
+//! that share a (machine, workload) pair — the first two components of
+//! every cell key — run in index order inside one pool unit, so no two
+//! concurrent units ever touch the same key, and the cache accounting
+//! is a pure function of the batch and the cache contents, whatever
+//! the pool size.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +30,7 @@ use hmpt_core::campaign::{CampaignPlan, RepPolicy};
 use hmpt_core::driver::{Analysis, Driver};
 use hmpt_core::error::TunerError;
 use hmpt_core::exec::{
-    available_workers, cell_executor, CellExecutor, ExecutorKind, ParallelExecutor, RunExecutor,
+    CachingExecutor, CellExecutor, ParallelExecutor, RunExecutor, SerialExecutor,
 };
 use hmpt_core::grouping::{group, GroupingConfig};
 use hmpt_core::measure::CampaignConfig;
@@ -35,15 +44,14 @@ use crate::cache::{CacheStats, MeasurementCache};
 /// Fleet-wide settings.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// How campaign cells are executed (default: auto-sized parallel).
-    pub executor: ExecutorKind,
+    /// Size of the batch's job pool (`1` = serial, `0` = auto-size to
+    /// the host). Affects wall time only: reports, results and cache
+    /// accounting are identical at every size.
+    pub workers: usize,
     /// How many repetitions each configuration gets (default: the
     /// campaign's fixed `n`; [`RepPolicy::ConfidenceTarget`] stops
     /// configurations early once their mean is known tightly enough).
     pub rep_policy: RepPolicy,
-    pub grouping: GroupingConfig,
-    /// Seed of each job's profiling run.
-    pub profile_seed: u64,
     /// Run the online tuner through the warmed cache after each job's
     /// exhaustive campaign (verifies agreement; free on cache hits).
     /// Probes measure at the campaign's nominal `runs_per_config`, so
@@ -55,13 +63,6 @@ pub struct FleetConfig {
     /// Consult the shared content-addressed cache per cell (`false`
     /// re-simulates everything — useful for timing baselines).
     pub cache_enabled: bool,
-    /// How many *jobs* run concurrently (on top of per-campaign cell
-    /// parallelism). `1` (the default) preserves strictly sequential
-    /// job execution; `0` auto-sizes to the host. Reports are always
-    /// delivered in job-index order, and results are bit-identical to
-    /// sequential execution; only per-job cache *attribution* becomes
-    /// approximate when concurrent jobs race on shared cells.
-    pub job_workers: usize,
     /// On-disk cache snapshot ([`hmpt_core::store`]): loaded into the
     /// shared cache when the fleet is built (a missing or unusable
     /// snapshot is a cold start, not an error) and re-saved after every
@@ -87,13 +88,10 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            executor: ExecutorKind::parallel(),
+            workers: 0,
             rep_policy: RepPolicy::Fixed,
-            grouping: GroupingConfig::default(),
-            profile_seed: 7,
             online_check: true,
             cache_enabled: true,
-            job_workers: 1,
             cache_path: None,
             cache_max_records: None,
             fast_path: true,
@@ -152,7 +150,7 @@ pub struct JobReport {
     /// Online-tuner verification (present when
     /// [`FleetConfig::online_check`] is set).
     pub online: Option<OnlineResult>,
-    /// Cache traffic attributable to this job.
+    /// This job's own cache traffic, counted by its caching executor.
     pub cache: CacheStats,
     pub wall_s: f64,
 }
@@ -195,8 +193,8 @@ pub struct FleetReport {
     pub stats: FleetStats,
 }
 
-/// The campaign-execution service: a shared executor + measurement cache
-/// answering batches of tuning jobs.
+/// The campaign-execution service: a job pool + shared measurement
+/// cache answering batches of tuning jobs.
 #[derive(Debug)]
 pub struct Fleet {
     cfg: FleetConfig,
@@ -220,42 +218,13 @@ impl Fleet {
     /// the per-policy fleets of a scenario matrix) can share one
     /// content-addressed store. If [`FleetConfig::cache_path`] names an
     /// existing snapshot (and caching is on), it is loaded here —
-    /// load-on-start; an unusable snapshot (foreign format or key
-    /// semantics, header damage) is reported and treated as a cold
-    /// start.
+    /// load-on-start ([`store::preload`]; an unusable snapshot is
+    /// reported and treated as a cold start).
     pub fn with_cache(cfg: FleetConfig, cache: Arc<MeasurementCache>) -> Self {
-        let mut preloaded = 0;
-        if cfg.cache_enabled {
-            if let Some(path) = cfg.cache_path.as_ref().filter(|p| p.exists()) {
-                match store::load_into(&cache, path) {
-                    Ok(report) => {
-                        preloaded = report.loaded;
-                        if report.skipped > 0 || report.truncated {
-                            hmpt_obs::warn(
-                                "fleet.cache",
-                                format!(
-                                    "hmpt-fleet: cache snapshot {} partially recovered \
-                                     ({} cells loaded, {} skipped{})",
-                                    path.display(),
-                                    report.loaded,
-                                    report.skipped,
-                                    if report.truncated { ", truncated" } else { "" }
-                                ),
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        hmpt_obs::warn(
-                            "fleet.cache",
-                            format!(
-                                "hmpt-fleet: ignoring cache snapshot {} (cold start): {e}",
-                                path.display()
-                            ),
-                        );
-                    }
-                }
-            }
-        }
+        let preloaded = match &cfg.cache_path {
+            Some(path) if cfg.cache_enabled => store::preload(&cache, path, "fleet.cache"),
+            _ => 0,
+        };
         Fleet { cfg, cache, preloaded }
     }
 
@@ -272,79 +241,63 @@ impl Fleet {
         self.preloaded
     }
 
-    /// Save the shared cache to [`FleetConfig::cache_path`] (atomic
-    /// temp-file + rename). `Ok(None)` when no path is configured or
-    /// caching is off. [`Self::run_streaming`] calls this after every
-    /// completed batch — save-on-finish — but callers may also persist
-    /// explicitly (e.g. after a matrix run over the fleet's cache).
+    /// Save the shared cache to [`FleetConfig::cache_path`]
+    /// ([`store::persist`]: LRU sweep, then atomic save). `Ok(None)`
+    /// when no path is configured or caching is off.
+    /// [`Self::run_streaming`] calls this after every completed batch —
+    /// save-on-finish — but callers may also persist explicitly (e.g.
+    /// after a matrix run over the fleet's cache).
     pub fn persist(&self) -> Result<Option<SaveReport>, StoreError> {
         match &self.cfg.cache_path {
             Some(path) if self.cfg.cache_enabled => {
-                if let Some(max) = self.cfg.cache_max_records {
-                    self.cache.compact(max as usize);
-                }
-                store::save(&self.cache, path).map(Some)
+                store::persist(&self.cache, path, self.cfg.cache_max_records).map(Some)
             }
             _ => Ok(None),
         }
     }
 
-    /// The fleet's executor stack: a cell-level pool, wrapped in the
+    /// Run one job on the calling thread: serial cells, through the
     /// shared cache unless caching is disabled.
-    fn exec_stack(&self, executor: ExecutorKind) -> Box<dyn CellExecutor> {
-        cell_executor(executor, self.cfg.cache_enabled.then(|| Arc::clone(&self.cache)))
-    }
-
-    /// Run one job through the shared pool and cache.
     pub fn run_job(&self, job: &TuningJob) -> Result<JobReport, TunerError> {
-        self.run_job_with(job, self.cfg.executor)
-    }
-
-    /// [`Self::run_job`] with an explicit cell-level executor — the
-    /// concurrent-jobs path divides the host's cores between job
-    /// workers instead of multiplying the two pool sizes.
-    fn run_job_with(
-        &self,
-        job: &TuningJob,
-        executor: ExecutorKind,
-    ) -> Result<JobReport, TunerError> {
         let _job_span = hmpt_obs::span_with("fleet.job", || {
             job.label.clone().unwrap_or_else(|| job.spec.name.clone())
         });
         let t0 = Instant::now();
-        let before = self.cache.stats();
 
-        let driver = Driver::new(job.machine.clone())
-            .with_grouping(self.cfg.grouping)
-            .with_campaign(job.campaign)
-            .with_executor(executor)
-            .with_fast_path(self.cfg.fast_path);
+        let driver = Driver::new(job.machine.clone());
         let (profile, groups) = {
             let _s = hmpt_obs::span("job.profile");
             let profile = driver.profile(&job.spec)?;
-            let groups = group(&job.spec, &profile.stats, &self.cfg.grouping);
+            let groups = group(&job.spec, &profile.stats, &GroupingConfig::default());
             (profile, groups)
         };
 
-        // Plan once per job: fingerprints (machine, spec, noise, per-
-        // config placement plans) are memoized on the plan and shared by
-        // the campaign cells and every online probe.
+        // Plan once per job: fingerprints (machine, spec, noise, groups)
+        // are memoized on the plan and shared by the campaign cells and
+        // every online probe.
         let plan = {
             let _s = hmpt_obs::span("job.plan");
             CampaignPlan::new(&job.machine, &job.spec, &groups, job.campaign)?
                 .with_policy(job.rep_policy.unwrap_or(self.cfg.rep_policy))
                 .with_fast_path(self.cfg.fast_path)
         };
-        let exec = self.exec_stack(executor);
+        let cached = self
+            .cfg
+            .cache_enabled
+            .then(|| CachingExecutor::new(SerialExecutor, Arc::clone(&self.cache)));
+        let exec: &dyn CellExecutor = match &cached {
+            Some(cached) => cached,
+            None => &SerialExecutor,
+        };
         let campaign = {
             let _s = hmpt_obs::span("job.campaign");
-            plan.execute(&*exec)?
+            plan.execute(exec)?
         };
 
         let online = if self.cfg.online_check {
             let _s = hmpt_obs::span("job.online");
-            let ocfg = OnlineConfig { campaign: job.campaign, executor, ..OnlineConfig::default() };
-            Some(online::tune_plan(&plan, &ocfg, &*exec)?)
+            let ocfg = OnlineConfig { campaign: job.campaign, ..OnlineConfig::default() };
+            Some(online::tune_plan(&plan, &ocfg, exec)?)
         } else {
             None
         };
@@ -357,42 +310,19 @@ impl Fleet {
         Ok(JobReport {
             analysis,
             online,
-            cache: self.cache.stats().since(&before),
+            cache: cached.map_or_else(CacheStats::default, |c| c.stats()),
             wall_s: t0.elapsed().as_secs_f64(),
         })
     }
 
-    /// The effective job-level worker count (`0` = auto-detect).
-    fn job_workers(&self) -> usize {
-        if self.cfg.job_workers == 0 {
-            available_workers()
-        } else {
-            self.cfg.job_workers
-        }
-    }
-
-    /// The cell-level executor each of `job_workers` concurrent jobs
-    /// gets: an auto-sized parallel pool is divided by the job workers
-    /// (so nesting never oversubscribes to cores²); an explicit size is
-    /// respected as given. Executor choice never changes result bits.
-    fn divided_executor(&self, job_workers: usize) -> ExecutorKind {
-        match self.cfg.executor {
-            ExecutorKind::Parallel { workers: 0 } => ExecutorKind::Parallel {
-                workers: (available_workers() / job_workers.max(1)).max(1),
-            },
-            other => other,
-        }
-    }
-
-    /// Run a batch, streaming each finished job to `on_report`.
+    /// Run a batch, handing each job's report to `on_report` in job
+    /// index order once the batch completes.
     ///
-    /// With `job_workers > 1`, independent jobs are evaluated
-    /// concurrently on a work-stealing pool; reports are still
-    /// delivered to `on_report` in job-index order (after the batch
-    /// completes), and every result is bit-identical to sequential
-    /// execution — cells are seed-deterministic and a racing cache
-    /// insert stores the identical outcome. On an error, the first
-    /// failing job in index order wins.
+    /// The jobs run on one pool of [`FleetConfig::workers`], one unit
+    /// per (machine, workload) pair (see the module docs). Every result
+    /// is bit-identical to sequential execution — cells are
+    /// seed-deterministic — and so is every cache count. On an error,
+    /// the first failing job in index order wins.
     pub fn run_streaming(
         &self,
         jobs: &[TuningJob],
@@ -401,28 +331,24 @@ impl Fleet {
         let _batch_span = hmpt_obs::span("fleet.batch");
         let t0 = Instant::now();
         let before = self.cache.stats();
-        let workers = self.job_workers().min(jobs.len().max(1));
+        let units = units(jobs);
+        let mut done: Vec<(usize, Result<JobReport, TunerError>)> =
+            ParallelExecutor::with_workers(self.cfg.workers)
+                .run(units.len(), |u| {
+                    units[u].iter().map(|&i| (i, self.run_job(&jobs[i]))).collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect();
+        done.sort_by_key(|(i, _)| *i);
         let mut reports = Vec::with_capacity(jobs.len());
         let (mut planned, mut executed) = (0u64, 0u64);
-        if workers <= 1 {
-            for (i, job) in jobs.iter().enumerate() {
-                let report = self.run_job(job)?;
-                planned += report.analysis.campaign.planned_runs as u64;
-                executed += report.analysis.campaign.executed_runs as u64;
-                on_report(i, &report);
-                reports.push(report);
-            }
-        } else {
-            let cell_exec = self.divided_executor(workers);
-            let results = ParallelExecutor::with_workers(workers)
-                .run(jobs.len(), |i| self.run_job_with(&jobs[i], cell_exec));
-            for (i, result) in results.into_iter().enumerate() {
-                let report = result?;
-                planned += report.analysis.campaign.planned_runs as u64;
-                executed += report.analysis.campaign.executed_runs as u64;
-                on_report(i, &report);
-                reports.push(report);
-            }
+        for (i, report) in done {
+            let report = report?;
+            planned += report.analysis.campaign.planned_runs as u64;
+            executed += report.analysis.campaign.executed_runs as u64;
+            on_report(i, &report);
+            reports.push(report);
         }
         // Save-on-finish: a configured snapshot path persists the
         // warmed cache after every completed batch. Failure to persist
@@ -458,6 +384,23 @@ impl Fleet {
     pub fn run(&self, jobs: &[TuningJob]) -> Result<FleetReport, TunerError> {
         self.run_streaming(jobs, |_, _| {})
     }
+}
+
+/// A batch's pool units: the indices of the jobs sharing a (machine,
+/// workload) pair, in index order, units ordered by first job.
+fn units(jobs: &[TuningJob]) -> Vec<Vec<usize>> {
+    let mut unit_of = HashMap::new();
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let u = *unit_of.entry((job.machine.fingerprint(), job.spec.fingerprint())).or_insert_with(
+            || {
+                units.push(Vec::new());
+                units.len() - 1
+            },
+        );
+        units[u].push(i);
+    }
+    units
 }
 
 #[cfg(test)]
@@ -568,9 +511,10 @@ mod tests {
             TuningJob::new(hmpt_workloads::npb::is::workload()),
             TuningJob::new(hmpt_workloads::npb::sp::workload()),
         ];
-        let sequential = Fleet::new(FleetConfig { online_check: false, ..Default::default() });
+        let sequential =
+            Fleet::new(FleetConfig { online_check: false, workers: 1, ..Default::default() });
         let parallel =
-            Fleet::new(FleetConfig { online_check: false, job_workers: 4, ..Default::default() });
+            Fleet::new(FleetConfig { online_check: false, workers: 4, ..Default::default() });
         let s = sequential.run(&jobs).unwrap();
         let mut seen = Vec::new();
         let p = parallel
@@ -598,6 +542,21 @@ mod tests {
         }
         assert_eq!(s.stats.planned_cells, p.stats.planned_cells);
         assert_eq!(s.stats.executed_cells, p.stats.executed_cells);
+    }
+
+    #[test]
+    fn units_group_jobs_by_machine_and_workload() {
+        use hmpt_sim::machine::MachineBuilder;
+        let slower = MachineBuilder::xeon_max().with_hbm_bw_factor(0.5).build();
+        let is = || TuningJob::new(hmpt_workloads::npb::is::workload());
+        let jobs = vec![
+            mg_job(),
+            is(),
+            mg_job().with_campaign(CampaignConfig { base_seed: 9, ..CampaignConfig::default() }),
+            mg_job().with_machine(slower),
+            is(),
+        ];
+        assert_eq!(units(&jobs), vec![vec![0, 2], vec![1, 4], vec![3]]);
     }
 
     #[test]

@@ -29,10 +29,10 @@
 //! seed = 3                      # base RNG seed
 //!
 //! [execution]
-//! serial      = false           # force serial execution
-//! workers     = 0               # batch: cell workers; matrix: pool size (0 = auto)
-//! job_workers = 1               # batch: concurrent jobs; matrix: pool size (0 = auto)
-//! compare     = true            # batch: serial-vs-parallel timing pass
+//! serial      = false           # force serial execution (pool size 1)
+//! workers     = 0               # pool size: batch jobs, matrix campaign blocks (0 = auto)
+//! job_workers = 0               # pool size, overriding `workers` (0 = auto)
+//! compare     = true            # batch: serial-vs-job-pool timing pass
 //! online      = true            # batch: online-tuner verification
 //! verify      = true            # matrix: bit-identity re-runs
 //! fast_path   = true            # batched cold-path kernel (bit-identical)
@@ -69,7 +69,8 @@
 use std::path::PathBuf;
 
 use hmpt_core::campaign::RepPolicy;
-use hmpt_core::exec::ExecutorKind;
+use hmpt_core::driver::PROFILE_SEED;
+use hmpt_core::grouping::GroupingConfig;
 use hmpt_core::measure::CampaignConfig;
 use hmpt_core::scenario::{parse_budget, ScenarioMatrix, ShardSpec};
 use hmpt_sim::fingerprint::{Fingerprint, StableHasher};
@@ -131,16 +132,16 @@ pub struct CampaignSection {
 /// `[execution]`: how cells are scheduled — never *what* they compute.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionSection {
-    /// Force serial execution (default false): the serial cell
-    /// executor in a batch, a one-worker block pool in a matrix.
+    /// Force serial execution (default false): a one-worker pool.
     pub serial: Option<bool>,
-    /// Batch: parallel cell workers. Matrix: the campaign-block pool
-    /// size, unless `job_workers` is given. 0 = auto; default 0.
+    /// The pool size, unless `job_workers` is given: concurrent jobs
+    /// in a batch, concurrent campaign blocks in a matrix. 0 = auto;
+    /// default 0.
     pub workers: Option<usize>,
-    /// Batch: concurrent jobs (default 1). Matrix: the campaign-block
-    /// pool size (default: `workers`). 0 = auto.
+    /// The pool size, overriding `workers` (same meaning). 0 = auto.
     pub job_workers: Option<usize>,
-    /// Batch: run the serial-vs-parallel comparison pass (default true).
+    /// Batch: time the campaigns serially and on the job pool, and
+    /// check they agree bit for bit (default true).
     pub compare: Option<bool>,
     /// Batch: run the online-tuner verification pass (default true).
     pub online: Option<bool>,
@@ -356,13 +357,13 @@ impl CampaignSpec {
             ));
         }
         let serial = exec.serial.unwrap_or(false);
-        let workers = exec.workers.unwrap_or(0);
         if serial && exec.workers.is_some_and(|w| w > 1) {
             return Err(invalid("execution.serial conflicts with execution.workers > 1"));
         }
-        let executor =
-            if serial { ExecutorKind::Serial } else { ExecutorKind::Parallel { workers } };
-        let job_workers = exec.job_workers.unwrap_or(1);
+        // Batch and matrix alike have one pool (of jobs, of campaign
+        // blocks): `serial` pins it to one worker, else `job_workers`
+        // sizes it, else `workers` (0 = auto).
+        let workers = if serial { 1 } else { exec.job_workers.or(exec.workers).unwrap_or(0) };
         let fast_path = exec.fast_path.unwrap_or(true);
 
         let policies = match &self.policies {
@@ -410,15 +411,13 @@ impl CampaignSpec {
                     })
                     .collect();
                 let fleet = FleetConfig {
-                    executor,
+                    workers,
                     rep_policy,
                     online_check: exec.online.unwrap_or(true),
                     cache_enabled,
-                    job_workers,
                     cache_path: cache.file.as_ref().map(PathBuf::from),
                     cache_max_records: cache.max_records,
                     fast_path,
-                    ..FleetConfig::default()
                 };
                 Ok(Resolved::Batch(ResolvedBatch {
                     jobs,
@@ -462,15 +461,7 @@ impl CampaignSpec {
                         Some(matrix.shard(k, n))
                     }
                 };
-                // A matrix has one pool, of campaign blocks: `serial`
-                // pins it to one worker, else `job_workers` sizes it,
-                // else `workers` (0 = auto).
-                let config = MatrixConfig {
-                    workers: if serial { 1 } else { exec.job_workers.unwrap_or(workers) },
-                    cache_enabled,
-                    fast_path,
-                    ..MatrixConfig::default()
-                };
+                let config = MatrixConfig { workers, cache_enabled, fast_path };
                 Ok(Resolved::Matrix(ResolvedMatrix {
                     matrix,
                     config,
@@ -515,8 +506,8 @@ impl CampaignSpec {
                             .write_f64(rel_half_width);
                     }
                 }
-                h.write_u64(Fingerprint::of(&b.fleet.grouping).raw());
-                h.write_u64(b.fleet.profile_seed);
+                h.write_u64(Fingerprint::of(&GroupingConfig::default()).raw());
+                h.write_u64(PROFILE_SEED);
                 Ok(Fingerprint::from_raw(h.finish()))
             }
         }

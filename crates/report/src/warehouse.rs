@@ -13,8 +13,9 @@
 //! The same discipline as `hmpt_core::store`, transposed onto JSONL:
 //!
 //! * **Atomic writes** — every file (record payloads and the index) is
-//!   written to a `*.tmp.<pid>` sibling and renamed into place, so a
-//!   concurrent reader never observes a half-written file.
+//!   written through [`hmpt_core::store::write_atomic`]: a `*.tmp.<pid>`
+//!   sibling renamed into place, so a concurrent reader never observes
+//!   a half-written file.
 //! * **Per-line checksums** — each index line starts with a 16-hex-digit
 //!   `StableHasher` checksum of the entry JSON that follows. A damaged
 //!   or truncated line fails its checksum and is skipped *individually*;
@@ -35,6 +36,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use hmpt_core::store::write_atomic;
 use hmpt_sim::fingerprint::StableHasher;
 use serde::{Deserialize, Serialize};
 
@@ -130,14 +132,6 @@ fn checksum(bytes: &[u8]) -> u64 {
     let mut h = StableHasher::new();
     h.write_bytes(bytes);
     h.finish()
-}
-
-/// Write `bytes` to `path` atomically (temp file + rename — same move
-/// as `hmpt_core::store::save`).
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
 }
 
 /// Only filename-safe bytes survive into record filenames; everything

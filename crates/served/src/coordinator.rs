@@ -10,7 +10,7 @@
 //!   reports/job-<id>.json   # merged MatrixReport per completed job
 //! ```
 //!
-//! Every mutation persists through the store's temp + rename idiom
+//! Every mutation persists through [`hmpt_core::store::write_atomic`]
 //! before the verb answers, so a crash at any instant loses at most the
 //! frame being processed; [`Coordinator::open`] reloads the snapshot
 //! and re-queues whatever was mid-flight (the state machine's adopt
@@ -27,12 +27,11 @@
 //! `simulated_cells == 0`.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hmpt_core::cache::MeasurementCache;
-use hmpt_core::exec::available_workers;
 use hmpt_core::scenario::{MatrixReport, ShardReport};
 use hmpt_core::store;
 use hmpt_fleet::matrix::{run_matrix_sharded, MatrixConfig};
@@ -152,18 +151,6 @@ pub struct Coordinator {
     cache: MeasurementCache,
 }
 
-/// Write `bytes` to `path` through a same-directory temp file + rename
-/// — the store's atomicity idiom, reused for queue snapshots and
-/// reports so a crash never leaves a half-written JSON document.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
 /// Intern a per-tenant counter name: `hmpt_obs` counters key on
 /// `&'static str`, so each distinct tenant leaks its name once.
 fn tenant_counter(tenant: &str) -> hmpt_obs::Counter {
@@ -222,31 +209,7 @@ impl Coordinator {
         }
 
         let cache = MeasurementCache::new();
-        let cache_path = cfg.state_dir.join("cache.bin");
-        if cache_path.exists() {
-            match store::load_into(&cache, &cache_path) {
-                Ok(report) => {
-                    if report.skipped > 0 || report.truncated {
-                        hmpt_obs::warn(
-                            "serve.cache",
-                            format!(
-                                "shared cache {} partially recovered ({} loaded, {} skipped{})",
-                                cache_path.display(),
-                                report.loaded,
-                                report.skipped,
-                                if report.truncated { ", truncated" } else { "" }
-                            ),
-                        );
-                    }
-                }
-                Err(e) => {
-                    hmpt_obs::warn(
-                        "serve.cache",
-                        format!("ignoring shared cache {} (cold start): {e}", cache_path.display()),
-                    );
-                }
-            }
-        }
+        store::preload(&cache, &cfg.state_dir.join("cache.bin"), "serve.cache");
 
         hmpt_obs::gauge("queue.depth").set(queue.depth() as u64);
         Ok(Coordinator {
@@ -450,16 +413,13 @@ impl Coordinator {
         let json = serde_json::to_string_pretty(&snapshot)
             .map_err(|e| ServeError::Internal(format!("serialize queue snapshot: {e}")))?;
         let path = self.cfg.state_dir.join("queue.json");
-        write_atomic(&path, json.as_bytes())
+        store::write_atomic(&path, json.as_bytes())
             .map_err(|e| ServeError::Internal(format!("{}: {e}", path.display())))
     }
 
     fn persist_cache(&self) {
-        if let Some(max) = self.cfg.cache_max_records {
-            self.cache.compact(max as usize);
-        }
         let path = self.cfg.state_dir.join("cache.bin");
-        if let Err(e) = store::save(&self.cache, &path) {
+        if let Err(e) = store::persist(&self.cache, &path, self.cfg.cache_max_records) {
             hmpt_obs::warn(
                 "serve.cache",
                 format!("shared cache not saved: {}: {e}", path.display()),
@@ -522,7 +482,7 @@ impl Coordinator {
         let merge_s = merge_started.elapsed().as_secs_f64();
 
         let json = serde_json::to_string_pretty(&report).expect("matrix reports always serialize");
-        if let Err(e) = write_atomic(&self.report_path(id), json.as_bytes()) {
+        if let Err(e) = store::write_atomic(&self.report_path(id), json.as_bytes()) {
             return self.finish_failed(id, format!("write report: {e}"));
         }
 
@@ -567,12 +527,8 @@ impl Coordinator {
             );
         }
 
-        let workers = match self.cfg.workers {
-            0 => available_workers(),
-            n => n,
-        };
         let whole = matrix.shard(0, 1);
-        let config = MatrixConfig { workers, ..config };
+        let config = MatrixConfig { workers: self.cfg.workers, ..config };
         let report = run_matrix_sharded(&matrix, &config, whole, Arc::clone(&job_cache))
             .map_err(|e| e.to_string())?;
         if verify {

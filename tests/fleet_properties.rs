@@ -2,8 +2,9 @@
 //! bit-identical to the serial one, a warmed measurement cache never
 //! changes an analysis result while eliminating simulated runs, chunked
 //! streaming over the campaign-plan IR matches eager execution for any
-//! chunk size, and adaptive (confidence-targeted) repetition campaigns
-//! are deterministic across execution strategies.
+//! chunk size, adaptive (confidence-targeted) repetition campaigns
+//! are deterministic across execution strategies, and a batch's cache
+//! accounting does not depend on its pool size.
 
 use std::sync::Arc;
 
@@ -237,5 +238,30 @@ proptest! {
             )
             .unwrap();
         assert_campaigns_bit_identical(&serial, &cached)?;
+    }
+}
+
+/// A batch's cache accounting is a pure function of the batch and the
+/// cache contents: with a duplicated workload (`mg, is, mg`, so two
+/// jobs share every cell key), pool sizes 1–4 give bit-identical
+/// analyses, equal batch cache totals, and equal per-job cache counts.
+#[test]
+fn batch_accounting_is_independent_of_pool_size() {
+    use hmpt_repro::workloads::npb;
+    let jobs: Vec<TuningJob> = [npb::mg::workload(), npb::is::workload(), npb::mg::workload()]
+        .into_iter()
+        .map(TuningJob::new)
+        .collect();
+    let run = |workers| Fleet::new(FleetConfig { workers, ..FleetConfig::default() }).run(&jobs);
+    let serial = run(1).expect("serial batch");
+    // The second mg job rides the first one's cells.
+    assert_eq!(serial.reports[2].cache.misses, 0, "{:?}", serial.reports[2].cache);
+    for workers in 2..=4 {
+        let pooled = run(workers).expect("pooled batch");
+        assert_eq!(pooled.stats.cache, serial.stats.cache, "batch cache, {workers} workers");
+        for (job, (s, p)) in serial.reports.iter().zip(&pooled.reports).enumerate() {
+            assert_analyses_bit_identical(&s.analysis, &p.analysis).unwrap();
+            assert_eq!(p.cache, s.cache, "job {job} cache, {workers} workers");
+        }
     }
 }

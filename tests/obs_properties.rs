@@ -1,7 +1,7 @@
 //! The zero-perturbation contract of `hmpt_obs`, property-tested:
 //! running any campaign with telemetry recording (spans + counters +
 //! a JSONL trace sink) produces byte-identical results to running it
-//! with telemetry off — across serial, parallel, and cached executors,
+//! with telemetry off — across serial and pooled batches, cached or not,
 //! including the on-disk cache snapshot — and the trace a run emits is
 //! schema-valid JSONL.
 //!
@@ -13,8 +13,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use hmpt_fleet::{Fleet, FleetConfig, TuningJob};
 use hmpt_obs::JsonlCollector;
-use hmpt_repro::core::exec::ExecutorKind;
 use hmpt_repro::core::measure::CampaignConfig;
+use hmpt_repro::sim::machine::MachineBuilder;
 use hmpt_repro::sim::noise::NoiseModel;
 use hmpt_repro::sim::stream::Direction;
 use hmpt_repro::workloads::model::{Phase, StreamSpec, WorkloadSpec};
@@ -179,37 +179,39 @@ fn assert_schema_valid(trace: &str) -> Result<(), proptest::TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Tracing a run changes nothing: for random workloads and every
-    /// execution strategy, the traced result is byte-identical to the
-    /// untraced one, and the trace itself is schema-valid.
+    /// Tracing a run changes nothing: for random workloads, serial and
+    /// pooled batches, cached or not, the traced result is
+    /// byte-identical to the untraced one, and the trace itself is
+    /// schema-valid. The batch's two jobs sit on different machines, so
+    /// a pool of 3 runs them concurrently.
     #[test]
     fn tracing_never_changes_result_bytes(
         spec in arb_workload(),
         seed in 0u64..1000,
     ) {
         let _guard = exclusive();
-        for (executor, cache_enabled) in [
-            (ExecutorKind::Serial, false),
-            (ExecutorKind::Parallel { workers: 3 }, false),
-            (ExecutorKind::Serial, true),
-            (ExecutorKind::Parallel { workers: 3 }, true),
-        ] {
+        let slower = MachineBuilder::xeon_max().with_hbm_bw_factor(0.5).build();
+        let jobs = [
+            TuningJob::new(spec.clone()).with_campaign(campaign(seed)),
+            TuningJob::new(spec.clone()).with_campaign(campaign(seed)).with_machine(slower),
+        ];
+        for (workers, cache_enabled) in [(1, false), (3, false), (1, true), (3, true)] {
             let run = || {
-                let job = TuningJob::new(spec.clone()).with_campaign(campaign(seed));
                 let fleet = Fleet::new(FleetConfig {
-                    executor,
+                    workers,
                     cache_enabled,
                     online_check: false,
                     ..FleetConfig::default()
                 });
-                fleet.run_job(&job).expect("run")
+                let report = fleet.run(&jobs).expect("run");
+                report.reports.iter().map(result_bytes).collect::<Vec<_>>()
             };
             let baseline = untraced(run);
-            let (traced_report, trace) = traced(run);
+            let (traced_bytes, trace) = traced(run);
             prop_assert!(
-                result_bytes(&baseline) == result_bytes(&traced_report),
-                "telemetry perturbed {:?} cache={}",
-                executor,
+                baseline == traced_bytes,
+                "telemetry perturbed workers={} cache={}",
+                workers,
                 cache_enabled
             );
             assert_schema_valid(&trace)?;
