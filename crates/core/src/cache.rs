@@ -31,13 +31,20 @@
 //! too: re-asking whether a placement fits is as redundant as re-timing
 //! it.
 //!
+//! A cache built with [`MeasurementCache::over`] is a read-through
+//! overlay on a shared base: a lookup its own map misses is answered by
+//! the base (a hit, refreshing the base entry's recency), and only the
+//! cells it simulates itself land in its own map. The campaign daemon
+//! runs each job over such an overlay, so a job never copies the shared
+//! cache and hands back exactly the cells it measured.
+//!
 //! [`Driver`]: crate::driver::Driver
 //! [`CachingExecutor`]: crate::exec::CachingExecutor
 //! [`CampaignPlan`]: crate::campaign::CampaignPlan
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hmpt_sim::fingerprint::Fingerprint;
 use serde::{Deserialize, Serialize};
@@ -95,11 +102,21 @@ pub struct MeasurementCache {
     misses: AtomicU64,
     /// Monotonic use-clock behind the per-entry recency stamps.
     clock: AtomicU64,
+    /// Read-through base of an overlay ([`Self::over`]).
+    base: Option<Arc<MeasurementCache>>,
 }
 
 impl MeasurementCache {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty overlay on `base`: lookups fall through to `base` (never
+    /// writing it), new cells stay in the overlay's own map. The
+    /// overlay's `len`, `entries` and `stats().entries` count its own
+    /// cells only.
+    pub fn over(base: Arc<MeasurementCache>) -> Self {
+        MeasurementCache { base: Some(base), ..Self::default() }
     }
 
     fn tick(&self) -> u64 {
@@ -116,14 +133,10 @@ impl MeasurementCache {
     where
         F: FnOnce() -> Result<CellOutcome, TunerError>,
     {
-        {
-            let mut map = self.map.lock().expect("cache poisoned");
-            if let Some(entry) = map.get_mut(&key) {
-                entry.last_used = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                hmpt_obs::counter("cache.hit").incr();
-                return entry.value.clone();
-            }
+        if let Some(value) = self.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            hmpt_obs::counter("cache.hit").incr();
+            return value;
         }
         let outcome = measure();
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -136,12 +149,17 @@ impl MeasurementCache {
         outcome
     }
 
-    /// Peek without measuring (still counts as a use for recency).
+    /// Peek without measuring (still counts as a use for recency). An
+    /// overlay falls through to its base on a miss of its own map.
     pub fn get(&self, key: &CellKey) -> Option<Result<CellOutcome, TunerError>> {
-        let mut map = self.map.lock().expect("cache poisoned");
-        let entry = map.get_mut(key)?;
-        entry.last_used = self.tick();
-        Some(entry.value.clone())
+        {
+            let mut map = self.map.lock().expect("cache poisoned");
+            if let Some(entry) = map.get_mut(key) {
+                entry.last_used = self.tick();
+                return Some(entry.value.clone());
+            }
+        }
+        self.base.as_ref()?.get(key)
     }
 
     /// Insert (or overwrite) an entry without touching the hit/miss
@@ -287,6 +305,34 @@ mod tests {
         }
         assert!(cache.get(&key(0, 0, 0, 0)).is_none());
         assert_eq!(cache.compact(10), 0, "under the cap, compaction is a no-op");
+    }
+
+    #[test]
+    fn overlay_reads_through_and_keeps_its_own_cells() {
+        let base = Arc::new(MeasurementCache::new());
+        base.insert(key(1, 0, 0, 0), cell(1.0));
+        let overlay = MeasurementCache::over(Arc::clone(&base));
+        let out = overlay.get_or_measure(key(1, 0, 0, 0), || panic!("base holds this cell"));
+        assert_eq!(out.unwrap().time_s, 1.0);
+        overlay.get_or_measure(key(2, 0, 0, 0), || cell(2.0)).unwrap();
+        assert_eq!(overlay.get(&key(2, 0, 0, 0)).unwrap().unwrap().time_s, 2.0);
+        let s = overlay.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1), "a base hit is a hit");
+        assert_eq!(overlay.entries().len(), 1, "only the measured cell is the overlay's");
+        assert_eq!(base.len(), 1, "an overlay never writes its base");
+        assert!(base.get(&key(2, 0, 0, 0)).is_none());
+    }
+
+    #[test]
+    fn overlay_hit_refreshes_the_base_entrys_recency() {
+        let base = Arc::new(MeasurementCache::new());
+        base.insert(key(1, 0, 0, 0), cell(1.0));
+        base.insert(key(2, 0, 0, 0), cell(2.0));
+        let overlay = MeasurementCache::over(Arc::clone(&base));
+        overlay.get_or_measure(key(1, 0, 0, 0), || panic!("base holds this cell")).unwrap();
+        assert_eq!(base.compact(1), 1);
+        assert!(base.get(&key(1, 0, 0, 0)).is_some(), "the overlay's hit kept it alive");
+        assert!(base.get(&key(2, 0, 0, 0)).is_none());
     }
 
     #[test]

@@ -515,9 +515,11 @@ pub fn merge_bytes(
 /// format (serialize with [`to_bytes`], absorb with [`merge_bytes`]),
 /// so the fold exercises the same checksummed record path as a file
 /// round-trip and inherits its last-write-wins collision rule. This is
-/// the coordinator's cross-job fold: a finished job's private cache is
-/// folded into the shared persistent cache so the next job's boundary
-/// cells hit instead of re-simulating.
+/// the coordinator's cross-job fold: a finished job's overlay
+/// ([`MeasurementCache::over`]) holds only the cells the job simulated,
+/// and folding it into the shared persistent cache lets the next job's
+/// boundary cells hit instead of re-simulating. An overlay's `src`
+/// contributes its own cells only, never its base's.
 pub fn fold(dst: &MeasurementCache, src: &MeasurementCache) -> LoadReport {
     let (bytes, _) = to_bytes(src);
     merge_bytes(dst, &[&bytes]).expect("snapshot bytes from to_bytes always parse")

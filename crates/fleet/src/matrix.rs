@@ -10,7 +10,8 @@
 //! parallelism. Inside a block, scenarios run in order and their
 //! campaign cells run serially over the shared [`MeasurementCache`]:
 //! the second budget of a (machine, workload) pair re-asks the same
-//! campaign and is answered without new simulated runs. Because blocks
+//! campaign and is answered without new simulated runs, and reuses the
+//! block's one profiling run and grouping. Because blocks
 //! are key-disjoint, cache hits and misses are a pure function of the
 //! matrix and the cache contents, whatever the pool size.
 //!
@@ -186,7 +187,9 @@ fn run_matrix_range(
 
 /// Run one campaign block: its scenarios in index order, each through
 /// the fleet's per-job pipeline with serial cells. Every scenario of a
-/// block shares its machine, which is built once.
+/// block shares its machine and workload, so the machine is built once
+/// and the workload profiled and grouped once, in the first scenario's
+/// `fleet.job` span.
 fn run_block(
     fleet: &Fleet,
     matrix: &ScenarioMatrix,
@@ -195,6 +198,7 @@ fn run_block(
     let mut rows = Vec::with_capacity(block.len());
     let (mut planned, mut executed) = (0u64, 0u64);
     let mut machine: Option<Machine> = None;
+    let mut profiled = None;
     for i in block {
         let s = matrix.scenario(i);
         let machine = match &machine {
@@ -210,7 +214,7 @@ fn run_block(
             campaign: s.campaign,
             rep_policy: Some(s.rep_policy),
         };
-        let report = fleet.run_job(&job)?;
+        let report = fleet.run_job_profiled(&job, &mut profiled)?;
         planned += report.analysis.campaign.planned_runs as u64;
         executed += report.analysis.campaign.executed_runs as u64;
         rows.push(ScenarioRow::build(&s, &job.machine, &report.analysis));
@@ -271,6 +275,30 @@ mod tests {
         assert!(serial.bit_identical(&parallel), "parallel diverged");
         assert!(serial.bit_identical(&cached), "cached diverged");
         assert_eq!(serial.stats.cache.hits + serial.stats.cache.misses, 0, "cache was off");
+    }
+
+    #[test]
+    fn a_blocks_shared_profile_keeps_row_bits() {
+        let zoo = || Zoo::parse("xeon-max").unwrap();
+        let budgets = vec![None, Some(gib(16)), Some(gib(32))];
+        let cfg = MatrixConfig::default();
+        let block = ScenarioMatrix::new(zoo(), vec![hmpt_workloads::npb::mg::workload()])
+            .with_budgets(budgets.clone());
+        assert_eq!(block.blocks(0..block.len()).count(), 1, "one (machine, workload) block");
+        let shared = run_matrix(&block, &cfg).unwrap();
+        // Each budget alone: a one-scenario matrix that profiles itself.
+        let alone: Vec<ScenarioRow> = budgets
+            .iter()
+            .enumerate()
+            .map(|(i, &budget)| {
+                let single = ScenarioMatrix::new(zoo(), vec![hmpt_workloads::npb::mg::workload()])
+                    .with_budgets(vec![budget]);
+                let mut row = run_matrix(&single, &cfg).unwrap().scenarios.remove(0);
+                row.scenario = i;
+                row
+            })
+            .collect();
+        assert!(hmpt_core::scenario::rows_bit_identical(&shared.scenarios, &alone));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! every cell key — run in index order inside one pool unit, so no two
 //! concurrent units ever touch the same key, and the cache accounting
 //! is a pure function of the batch and the cache contents, whatever
-//! the pool size.
+//! the pool size. A unit profiles and groups once, in its first job.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -32,12 +32,13 @@ use hmpt_core::error::TunerError;
 use hmpt_core::exec::{
     CachingExecutor, CellExecutor, ParallelExecutor, RunExecutor, SerialExecutor,
 };
-use hmpt_core::grouping::{group, GroupingConfig};
+use hmpt_core::grouping::{group, AllocationGroup, GroupingConfig};
 use hmpt_core::measure::CampaignConfig;
 use hmpt_core::online::{self, OnlineConfig, OnlineResult};
 use hmpt_core::store::{self, SaveReport, StoreError};
 use hmpt_sim::machine::{xeon_max_9468, Machine};
 use hmpt_workloads::model::WorkloadSpec;
+use hmpt_workloads::runner::RunOutcome;
 
 use crate::cache::{CacheStats, MeasurementCache};
 
@@ -142,6 +143,10 @@ impl TuningJob {
         self
     }
 }
+
+/// A workload's profiling run on a machine and the allocation groups
+/// built from it, shared by the jobs of one (machine, workload) pair.
+pub(crate) type JobProfile = (RunOutcome, Vec<AllocationGroup>);
 
 /// What the fleet streams back per job.
 #[derive(Debug, Clone)]
@@ -259,17 +264,34 @@ impl Fleet {
     /// Run one job on the calling thread: serial cells, through the
     /// shared cache unless caching is disabled.
     pub fn run_job(&self, job: &TuningJob) -> Result<JobReport, TunerError> {
+        self.run_job_profiled(job, &mut None)
+    }
+
+    /// [`Self::run_job`] with a profile memo for a run of jobs sharing
+    /// one (machine, workload) pair: an empty memo is filled by this
+    /// job's profiling, a filled one is used as is. Bit-identical to
+    /// profiling every job, since [`Driver::profile`] depends only on
+    /// the machine, the workload and
+    /// [`PROFILE_SEED`](hmpt_core::driver::PROFILE_SEED).
+    pub(crate) fn run_job_profiled(
+        &self,
+        job: &TuningJob,
+        profiled: &mut Option<JobProfile>,
+    ) -> Result<JobReport, TunerError> {
         let _job_span = hmpt_obs::span_with("fleet.job", || {
             job.label.clone().unwrap_or_else(|| job.spec.name.clone())
         });
         let t0 = Instant::now();
 
         let driver = Driver::new(job.machine.clone());
-        let (profile, groups) = {
-            let _s = hmpt_obs::span("job.profile");
-            let profile = driver.profile(&job.spec)?;
-            let groups = group(&job.spec, &profile.stats, &GroupingConfig::default());
-            (profile, groups)
+        let (profile, groups) = match profiled {
+            Some(memo) => memo.clone(),
+            None => {
+                let _s = hmpt_obs::span("job.profile");
+                let profile = driver.profile(&job.spec)?;
+                let groups = group(&job.spec, &profile.stats, &GroupingConfig::default());
+                profiled.insert((profile, groups)).clone()
+            }
         };
 
         // Plan once per job: fingerprints (machine, spec, noise, groups)
@@ -335,7 +357,11 @@ impl Fleet {
         let mut done: Vec<(usize, Result<JobReport, TunerError>)> =
             ParallelExecutor::with_workers(self.cfg.workers)
                 .run(units.len(), |u| {
-                    units[u].iter().map(|&i| (i, self.run_job(&jobs[i]))).collect::<Vec<_>>()
+                    let mut profiled = None;
+                    units[u]
+                        .iter()
+                        .map(|&i| (i, self.run_job_profiled(&jobs[i], &mut profiled)))
+                        .collect::<Vec<_>>()
                 })
                 .into_iter()
                 .flatten()

@@ -18,16 +18,21 @@
 //!
 //! The shared cache is the service's reason to exist as a *daemon*
 //! rather than a loop around `hmpt-fleet run`: each job executes
-//! against a private cache seeded from the shared one
-//! ([`hmpt_core::store::fold`]), and its delta is folded back after the
-//! merge — so two jobs whose scenario matrices overlap (the PR 4
-//! boundary-cell case) simulate their shared cells exactly once,
-//! service-lifetime-wide. The effect is visible in
+//! against a read-through overlay on the shared cache
+//! ([`MeasurementCache::over`]) — lookups fall through to the shared
+//! cells, new cells stay in the job's own map — and after the merge
+//! only those new cells are folded back ([`hmpt_core::store::fold`]).
+//! So two jobs whose scenario matrices overlap simulate their shared
+//! cells exactly once, service-lifetime-wide, and a job costs its own
+//! cells, not the size of the shared cache. A failed job's cells are
+//! dropped with its overlay. `cache.bin` is rewritten only after a
+//! fold added cells (and once more at drain). The effect is visible in
 //! [`JobStats`]: a re-submission of a measured spec reports
-//! `simulated_cells == 0`.
+//! `simulated_cells == 0` and leaves `cache.bin` untouched.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -148,7 +153,10 @@ pub struct Coordinator {
     cfg: CoordinatorConfig,
     inner: Mutex<Inner>,
     work: Condvar,
-    cache: MeasurementCache,
+    cache: Arc<MeasurementCache>,
+    /// The shared cache holds cells `cache.bin` does not: set by a fold
+    /// that added cells, cleared by a successful save.
+    cache_dirty: AtomicBool,
 }
 
 /// Intern a per-tenant counter name: `hmpt_obs` counters key on
@@ -208,7 +216,7 @@ impl Coordinator {
             }
         }
 
-        let cache = MeasurementCache::new();
+        let cache = Arc::new(MeasurementCache::new());
         store::preload(&cache, &cfg.state_dir.join("cache.bin"), "serve.cache");
 
         hmpt_obs::gauge("queue.depth").set(queue.depth() as u64);
@@ -217,6 +225,7 @@ impl Coordinator {
             inner: Mutex::new(Inner { queue, draining: false, enqueued_at: BTreeMap::new() }),
             work: Condvar::new(),
             cache,
+            cache_dirty: AtomicBool::new(false),
         })
     }
 
@@ -419,11 +428,12 @@ impl Coordinator {
 
     fn persist_cache(&self) {
         let path = self.cfg.state_dir.join("cache.bin");
-        if let Err(e) = store::persist(&self.cache, &path, self.cfg.cache_max_records) {
-            hmpt_obs::warn(
+        match store::persist(&self.cache, &path, self.cfg.cache_max_records) {
+            Ok(_) => self.cache_dirty.store(false, Ordering::Relaxed),
+            Err(e) => hmpt_obs::warn(
                 "serve.cache",
                 format!("shared cache not saved: {}: {e}", path.display()),
-            );
+            ),
         }
     }
 
@@ -507,8 +517,8 @@ impl Coordinator {
     }
 
     /// Resolve the job's spec and run its whole matrix as one range
-    /// through the campaign-block pool, against a private cache seeded
-    /// from the shared one.
+    /// through the campaign-block pool, against a read-through overlay
+    /// on the shared cache.
     fn simulate(&self, record: &JobRecord) -> Result<(ShardReport, Arc<MeasurementCache>), String> {
         let resolved = CampaignSpec::parse(&record.spec)
             .and_then(|spec| spec.resolve())
@@ -518,14 +528,7 @@ impl Coordinator {
             Resolved::Batch(_) => return Err("batch spec reached the runner".into()),
         };
 
-        let job_cache = Arc::new(MeasurementCache::new());
-        let seeded = store::fold(&job_cache, &self.cache);
-        if seeded.loaded > 0 {
-            hmpt_obs::info(
-                "serve.fold",
-                format!("job {}: seeded {} cells from the shared cache", record.id, seeded.loaded),
-            );
-        }
+        let job_cache = Arc::new(MeasurementCache::over(Arc::clone(&self.cache)));
 
         let whole = matrix.shard(0, 1);
         let config = MatrixConfig { workers: self.cfg.workers, ..config };
@@ -546,7 +549,8 @@ impl Coordinator {
     }
 
     /// Fingerprint-validate the job's report and assemble it, then fold
-    /// the job's cache delta into the shared cache and persist it.
+    /// the cells the job simulated into the shared cache, saving it if
+    /// it holds cells `cache.bin` does not.
     fn merge_and_fold(
         &self,
         record: &JobRecord,
@@ -569,12 +573,21 @@ impl Coordinator {
             "serve.fold",
             format!("job {}: folded {} cells into the shared cache", record.id, folded.loaded),
         );
-        self.persist_cache();
+        hmpt_obs::gauge("cache.entries").set(self.cache.len() as u64);
+        if folded.loaded > 0 {
+            self.cache_dirty.store(true, Ordering::Relaxed);
+        }
+        if self.cache_dirty.load(Ordering::Relaxed) {
+            self.persist_cache();
+        }
         Ok(report)
     }
 
     fn finish_failed(&self, id: u64, message: String) {
         hmpt_obs::warn("serve.job", format!("job {id} failed: {message}"));
+        // A failed job folds nothing: the gauge reads the shared cache,
+        // not the dropped overlay the job's range last reported.
+        hmpt_obs::gauge("cache.entries").set(self.cache.len() as u64);
         let mut inner = self.inner.lock().unwrap();
         if let Some(record) = inner.queue.get_mut(id) {
             let _ = record.transition(JobState::Failed);

@@ -15,11 +15,12 @@
 //!   quotas and cancellation.
 //! * [`coordinator`] — execution: the coordinator owns a shared
 //!   persistent [`hmpt_core::cache::MeasurementCache`]; per job it
-//!   seeds a private cache from the shared one, runs the whole scenario
-//!   matrix as one range through the fleet's campaign-block pool,
-//!   validates the report's fingerprint against the spec, and folds the
-//!   job's cache delta back via [`hmpt_core::store::fold`] — so a
-//!   second job never re-simulates cells a previous job measured.
+//!   runs the whole scenario matrix as one range through the fleet's
+//!   campaign-block pool, over a read-through overlay on the shared
+//!   cache, validates the report's fingerprint against the spec, and
+//!   folds the cells the job simulated back via
+//!   [`hmpt_core::store::fold`] — so a second job never re-simulates
+//!   cells a previous job measured.
 //!
 //! [`server`] is the accept loop binding [`wire`] to a
 //! [`coordinator::Coordinator`]; [`client`] is the blocking client the

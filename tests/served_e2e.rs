@@ -2,9 +2,12 @@
 //! real TCP connection produces a `MatrixReport` bit-identical to
 //! direct `api::execute`; a warm re-submission simulates nothing; the
 //! coordinator's shared cache stops overlapping jobs double-simulating
-//! their common cells (the PR 4 cross-job boundary); tenant quotas
-//! reject typed while other tenants proceed; and a state dir that died
-//! mid-flight is adopted and completed on restart.
+//! their common cells (the PR 4 cross-job boundary); the bounded shared
+//! cache evicts least recently used cells; a failed job leaves the
+//! shared cache untouched; `cache.bin` is rewritten only when the cache
+//! changed; tenant quotas reject typed while other tenants proceed; and
+//! a state dir that died mid-flight is adopted and completed on
+//! restart.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -16,6 +19,7 @@ use hmpt_fleet::spec::CampaignSpec;
 use hmpt_served::queue::{JobQueue, QueueConfig};
 use hmpt_served::state::{JobState, JobStats};
 use hmpt_served::{Client, ClientError, Coordinator, CoordinatorConfig, ErrorKind, Server};
+use hmpt_sim::zoo::ZooEntry;
 
 /// The small two-budget matrix every test submits (same family as
 /// `examples/zoo.toml`, shrunk to one machine × one workload).
@@ -36,6 +40,21 @@ workloads = [\"mg\", \"is\"]
 budgets = [\"none\", \"16\"]
 policies = [\"fixed\"]
 ";
+
+/// A one-scenario matrix: mg on `machine`, no budget.
+fn spec_mg_on(machine: &str) -> String {
+    format!(
+        "mode = \"matrix\"\nzoo = [\"{machine}\"]\nworkloads = [\"mg\"]\n\
+         budgets = [\"none\"]\npolicies = [\"fixed\"]\n"
+    )
+}
+
+/// Submit one job and run it to a terminal state; returns its id.
+fn run_job(coordinator: &Coordinator, spec: &str) -> u64 {
+    let (job, _) = coordinator.submit("ci", 0, spec).expect("admitted");
+    coordinator.run_until_idle();
+    job
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hmpt-served-e2e-{name}-{}", std::process::id()));
@@ -163,6 +182,100 @@ fn overlapping_jobs_share_the_cache_instead_of_resimulating() {
         serde_json::from_value(&coordinator.report(second).expect("report")).expect("parses");
     assert!(cold_report.bit_identical(&second_report));
     let _ = std::fs::remove_dir_all(&cold_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The bounded shared cache evicts the least recently *used* cells: a
+/// job answered from the cache refreshes its cells, so a later sweep
+/// drops the cells nobody asked for since, whatever their keys.
+#[test]
+fn bounded_shared_cache_evicts_least_recently_used_cells() {
+    // A runs on the machine with the lowest fingerprint — the first
+    // component of every cell key — so a sweep that followed key order
+    // instead of use would evict A's cells first.
+    let mut machines = ["xeon-max", "hbm-flat", "xeon-max-quad"];
+    machines.sort_by_key(|m| ZooEntry::parse(m).expect("zoo entry").build().fingerprint());
+    let [a, mut b, mut c] = machines.map(spec_mg_on);
+    // Each job's cell count, measured on an unbounded service.
+    let probe_dir = temp_dir("lru-probe");
+    let probe = Coordinator::open(CoordinatorConfig::new(&probe_dir)).expect("open");
+    let [na, mut nb, mut nc] =
+        [&a, &b, &c].map(|spec| stats_of(&probe, run_job(&probe, spec)).simulated_cells);
+    assert_eq!(probe.cache_len() as u64, na + nb + nc, "the three jobs share no cell");
+    // B must not outgrow C, or B's own save would sweep part of A.
+    if nb > nc {
+        std::mem::swap(&mut b, &mut c);
+        std::mem::swap(&mut nb, &mut nc);
+    }
+
+    let dir = temp_dir("lru");
+    let mut config = CoordinatorConfig::new(&dir);
+    config.cache_max_records = Some(na + nc);
+    let coordinator = Coordinator::open(config).expect("open");
+    for spec in [&a, &b] {
+        run_job(&coordinator, spec);
+    }
+    let again = run_job(&coordinator, &a);
+    assert_eq!(stats_of(&coordinator, again).simulated_cells, 0);
+    run_job(&coordinator, &c);
+    assert_eq!(coordinator.cache_len() as u64, na + nc, "the save swept B's cells");
+    let fifth = run_job(&coordinator, &a);
+    assert_eq!(
+        stats_of(&coordinator, fifth).simulated_cells,
+        0,
+        "A was used after B, so the sweep must have kept A"
+    );
+    let _ = std::fs::remove_dir_all(&probe_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job that fails mid-matrix folds none of the cells it measured: the
+/// shared cache reads exactly as before it ran.
+#[test]
+fn a_failed_job_leaves_the_shared_cache_untouched() {
+    let dir = temp_dir("failed");
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
+    run_job(&coordinator, SPEC_MG);
+    let before = coordinator.cache_len();
+    assert!(before > 0);
+
+    // hbm-flat is valid and new to the cache; a machine without HBM
+    // bandwidth is not, and fails its campaign block.
+    let spec = "\
+mode = \"matrix\"
+zoo = [\"hbm-flat\", \"xeon-max*hbm-bw:0\"]
+workloads = [\"mg\"]
+budgets = [\"none\"]
+policies = [\"fixed\"]
+";
+    let job = run_job(&coordinator, spec);
+    let status = &coordinator.status(Some(job)).expect("status").jobs[0];
+    assert_eq!(status.state, JobState::Failed);
+    assert!(status.error.as_deref().unwrap_or("").contains("hbm-bw:0"), "{:?}", status.error);
+    assert_eq!(coordinator.cache_len(), before, "a failed job must not reach the shared cache");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `cache.bin` is rewritten only after a job added cells: a warm
+/// re-submission leaves the file alone (every save renames a new file
+/// into place, so the inode tells), and a drain still saves.
+#[test]
+fn snapshot_is_saved_only_when_the_cache_changed() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = temp_dir("dirty-save");
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
+    let snapshot = dir.join("cache.bin");
+    let inode = || std::fs::metadata(&snapshot).expect("cache.bin exists").ino();
+
+    run_job(&coordinator, SPEC_MG);
+    let cold = inode();
+    let warm = run_job(&coordinator, SPEC_MG);
+    assert_eq!(stats_of(&coordinator, warm).simulated_cells, 0);
+    assert_eq!(inode(), cold, "a warm re-submission must not rewrite cache.bin");
+
+    coordinator.drain();
+    coordinator.run();
+    assert_ne!(inode(), cold, "a drain saves the shared cache");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
